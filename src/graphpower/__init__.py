@@ -6,7 +6,8 @@ from .errors import (BudgetExceededError, ConfigError, DomainError,
                      NoConvergenceError)
 from .graph import (Graph, ball, bfs_layers, gnp_sample, graph_power,
                     induced_subgraph, is_forest, neighborhood_union,
-                    read_dimacs, read_edgelist, write_dimacs, write_edgelist)
+                    read_dimacs, read_edgelist, truncated_bfs, write_dimacs,
+                    write_edgelist)
 from .metrics import (PowerDegreeSummary, clique_lower_bound, codegree_max,
                       greedy_independent_set, high_degree_set,
                       independence_number, max_clique_exact, power_degree,

@@ -20,7 +20,10 @@ from .rng import RandomSource
 
 
 def _read_graph(path):
-    return read_dimacs(path) if path.endswith(".col") else read_edgelist(path)
+    try:
+        return read_dimacs(path) if path.endswith(".col") else read_edgelist(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed graph file: {exc}") from exc
 
 
 def _write_graph(g, path):
@@ -263,15 +266,9 @@ def _cmd_experiment(args):
 
 
 def _cmd_verify(args):
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.d is not None:
-        overrides["d"] = args.d
-    if args.r is not None and args.kind in ("th3", "th4"):
-        overrides["r"] = args.r
+    # verify_theorem refuses an override its campaign does not take
+    overrides = {key: getattr(args, key) for key in ("trials", "n", "d", "r")
+                 if getattr(args, key) is not None}
     report = experiments.verify_theorem(args.kind, seed=args.seed,
                                         workers=args.workers, **overrides)
     print(json.dumps(report))

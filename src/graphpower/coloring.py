@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, ForestViolationError
-from .graph import Graph, induced_subgraph, is_forest, neighborhood_union
+from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
+from .graph import (Graph, connected_components, induced_subgraph, is_forest,
+                    neighborhood_union, truncated_bfs)
 from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
                       power_max_degree)
 
@@ -28,7 +29,10 @@ class Coloring:
     radius: int
 
     def __post_init__(self):
-        assert self.palette_size == (max(self.colors) + 1 if self.colors else 0)
+        used = max(self.colors) + 1 if self.colors else 0
+        if self.palette_size != used:
+            raise ValueError(f"palette size {self.palette_size} does not match "
+                             f"the {used} colors used")
 
 
 def _mex(used):
@@ -38,24 +42,12 @@ def _mex(used):
     return c
 
 
-def _colored_ball_colors(adj, colors, v, r):
-    """Colors already assigned within G-distance <= r of v."""
-    seen = {v}
-    frontier = [v]
-    found = set()
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if colors[w] >= 0:
-                        found.add(colors[w])
-        if not nxt:
-            break
-        frontier = nxt
-    return found
+def _greedy_fill(g: Graph, r, order, colors):
+    """Give each vertex of ``order`` in turn the smallest color absent from
+    its distance-<= r neighborhood (uncolored vertices hold -1)."""
+    balls = truncated_bfs(g, r, zip(order))
+    for v, layers in zip(order, balls):
+        colors[v] = _mex({colors[w] for layer in layers for w in layer})
 
 
 def greedy_power_coloring(g: Graph, r, order=None) -> Coloring:
@@ -70,10 +62,8 @@ def greedy_power_coloring(g: Graph, r, order=None) -> Coloring:
     else:
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of all vertices")
-    adj = g.adjacency_lists()
     colors = [-1] * n
-    for v in order:
-        colors[v] = _mex(_colored_ball_colors(adj, colors, v, r))
+    _greedy_fill(g, r, order, colors)
     return Coloring(colors, max(colors) + 1 if n else 0, r)
 
 
@@ -197,7 +187,6 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
     if r < 2:
         raise ValueError("r must be >= 2")
     n = g.n
-    adj = g.adjacency_lists()
     delta_prev = power_max_degree(g, r - 1).delta
     s_set = high_degree_set(g, r, delta_prev)
     colors = [-1] * n
@@ -209,39 +198,31 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
         if not forest:
             inverse = {i: v for v, i in index_map.items()}
             raise ForestViolationError([inverse[x] for x in cycle])
-        # phase 1: BFS over each tree, smallest original index as root,
-        # coloring the S-vertices in visit order
-        h_adj = h.adjacency_lists()
-        inverse = [0] * h.n
-        for v, i in index_map.items():
-            inverse[i] = v
+        # phase 1: the S-vertices in BFS visit order over each tree, rooted
+        # at its smallest vertex; the walk does not depend on colors.  The
+        # components are numbered in order of their smallest index, and
+        # closure is sorted, so index order = vertex order
+        label, _ = connected_components(h)
+        roots = []
+        for x, c in enumerate(label):
+            if c == len(roots):
+                roots.append(x)
+        walk = []
+        for root, layers in zip(roots, truncated_bfs(h, h.n, zip(roots))):
+            walk.append(root)
+            for layer in layers:
+                walk.extend(layer)
         in_s = set(s_set)
-        visited = [False] * h.n
-        for root in range(h.n):  # closure is sorted, so index order = vertex order
-            if visited[root]:
-                continue
-            visited[root] = True
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    ox = inverse[x]
-                    if ox in in_s:
-                        used = _colored_ball_colors(adj, colors, ox, r)
-                        colors[ox] = _mex(used)
-                    for y in h_adj[x]:
-                        if not visited[y]:
-                            visited[y] = True
-                            nxt.append(y)
-                frontier = nxt
+        _greedy_fill(g, r, [closure[x] for x in walk if closure[x] in in_s], colors)
 
     # phase 2: all remaining vertices, increasing index order
-    for v in range(n):
-        if colors[v] < 0:
-            colors[v] = _mex(_colored_ball_colors(adj, colors, v, r))
+    _greedy_fill(g, r, [v for v in range(n) if colors[v] < 0], colors)
 
     palette = max(colors) + 1 if n else 0
-    assert palette <= delta_prev + 1, "color budget exceeded despite forest condition"
+    if palette > delta_prev + 1:
+        raise GraphPowerError(
+            f"{palette} colors exceed the bound {delta_prev + 1} despite the "
+            "forest condition")
     return Coloring(colors, palette, r)
 
 
@@ -252,23 +233,13 @@ def verify_proper_power_coloring(g: Graph, r, coloring: Coloring):
     colors = coloring.colors
     if len(colors) != n:
         raise ValueError("coloring size mismatch")
-    adj = g.adjacency_lists()
-    for v in range(n):
-        seen = {v}
-        frontier = [v]
+    balls = truncated_bfs(g, r, zip(range(n)))
+    for v, layers in enumerate(balls):
         cv = colors[v]
-        for _ in range(r):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        if colors[w] == cv and w > v:
-                            return False, (v, w)
-            if not nxt:
-                break
-            frontier = nxt
+        for layer in layers:
+            for w in layer:
+                if colors[w] == cv and w > v:
+                    return False, (v, w)
     return True, None
 
 
@@ -297,5 +268,9 @@ def read_coloring(path) -> Coloring:
                 assignments[int(parts[1])] = int(parts[2])
     if palette is None:
         raise ValueError("missing solution header line")
+    missing = next((v for v in range(len(assignments)) if v not in assignments),
+                   None)
+    if missing is not None:
+        raise ValueError(f"vertex ids not contiguous: no color for vertex {missing}")
     colors = [assignments[v] for v in range(len(assignments))]
     return Coloring(colors, palette, radius)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -107,7 +108,11 @@ def parse_config_file(path) -> ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = _coerce(key, value)
+            try:
+                raw[key] = _coerce(key, value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     if "d" in raw and "p" in raw:
         raise ConfigError(f"{path}: give only one of d or p")
     if "kind" not in raw:
@@ -126,7 +131,7 @@ def _coerce(key, text):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"bad boolean for {key}: {text!r}")
+        raise ValueError(text)
     if key in ("d", "p", "epsilon"):
         return float(text)
     return int(text)
@@ -428,6 +433,10 @@ def verify_theorem(kind, seed=1, workers=1, **overrides) -> dict:
     if runner is None:
         raise ConfigError(f"unknown theorem kind {kind!r}; "
                           f"choose from {sorted(_VERIFIERS)}")
+    accepted = inspect.signature(runner).parameters
+    for key in overrides:
+        if key not in accepted:
+            raise ConfigError(f"{kind} does not take --{key.replace('_', '-')}")
     return runner(seed=seed, workers=workers, **overrides)
 
 

@@ -41,6 +41,8 @@ class Graph:
         Orientation and duplicates are normalized away; self-loops are
         rejected.
         """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                          dtype=np.int64)
         if arr.size == 0:
@@ -234,42 +236,52 @@ def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:
                  validate=False)
 
 
+def truncated_bfs(g: Graph, r, starts):
+    """Exact-distance layers of radius-r BFS from each start set, lazily.
+
+    For each start set in ``starts`` (taken one at a time; each set is
+    iterated twice, so it must be a collection) yields the list of layers
+    N_1, ..., N_k with k <= r, stopping at the first empty layer.  Each
+    layer lists its vertices in visit order.  One stamp array, keyed by the
+    position of the start set, marks what the current search has reached,
+    so nothing is reset between searches; a call costs O(n) on top of the
+    searches, so batch many searches into one call.  Single-vertex searches
+    pass ``zip(vertices)``, which makes the 1-tuples without a Python frame.
+    This is the only truncated BFS in the package.
+    """
+    adj = g.adjacency_lists()
+    mark = [-1] * g.n
+    depths = range(r)
+    for i, frontier in enumerate(starts):
+        for v in frontier:
+            mark[v] = i
+        layers = []
+        for _ in depths:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if mark[w] != i:
+                        mark[w] = i
+                        nxt.append(w)
+            if not nxt:
+                break
+            layers.append(nxt)
+            frontier = nxt
+        yield layers
+
+
 def bfs_layers(g: Graph, v, r):
     """BFS layer sizes (l_1, ..., l_r) from v; never materializes a power."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    adj = g.adjacency_lists()
-    seen = {v}
-    frontier = [v]
-    sizes = []
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        sizes.append(len(nxt))
-        frontier = nxt
-    return tuple(sizes)
+    sizes = [len(layer) for layer in next(truncated_bfs(g, r, [(v,)]))]
+    return tuple(sizes + [0] * (r - len(sizes)))
 
 
 def ball(g: Graph, v, r):
     """Sorted list of all vertices at distance <= r from v (including v)."""
-    adj = g.adjacency_lists()
-    seen = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return sorted(seen)
+    layers = next(truncated_bfs(g, r, [(v,)]))
+    return sorted([v] + [w for layer in layers for w in layer])
 
 
 def neighborhood_union(g: Graph, s, r, include_sources=True):
@@ -278,22 +290,8 @@ def neighborhood_union(g: Graph, s, r, include_sources=True):
     With ``include_sources`` (the default) this is the closed union
     S ∪ N_r(S); with it off, the sources themselves are dropped.
     """
-    adj = g.adjacency_lists()
-    seen = set(s)
-    frontier = list(s)
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    if not include_sources:
-        seen -= set(s)
-    return sorted(seen)
+    reached = {w for layer in next(truncated_bfs(g, r, [s])) for w in layer}
+    return sorted(reached | set(s) if include_sources else reached)
 
 
 def induced_subgraph(g: Graph, s):
@@ -376,10 +374,6 @@ def is_forest(g: Graph):
     return True, None
 
 
-def eccentricity_at_most(g: Graph, v, r) -> bool:
-    return len(ball(g, v, r)) == g.n
-
-
 # -- file formats ----------------------------------------------------------
 
 
@@ -392,8 +386,11 @@ def write_edgelist(g: Graph, path):
 
 
 def read_edgelist(path) -> Graph:
+    """Inverse of :func:`write_edgelist`; ValueError on a malformed file."""
     with open(path) as fh:
         header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError("missing 'n m' header line")
         n, m = int(header[0]), int(header[1])
         edges = []
         for line in fh:
@@ -416,16 +413,19 @@ def write_dimacs(g: Graph, path):
 
 
 def read_dimacs(path) -> Graph:
+    """Inverse of :func:`write_dimacs`; ValueError on a malformed file."""
     n = None
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts or parts[0] == "c":
+            if not parts or parts[0] not in ("p", "e"):
                 continue
+            if len(parts) < 3:
+                raise ValueError(f"line {lineno}: too few fields in {line.strip()!r}")
             if parts[0] == "p":
                 n = int(parts[2])
-            elif parts[0] == "e":
+            else:
                 edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
     if n is None:
         raise ValueError("missing DIMACS problem line")

@@ -7,12 +7,13 @@ Ties in argmax reductions always go to the smallest vertex index.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import Graph, ball
+from .graph import Graph, ball, truncated_bfs
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -38,28 +39,11 @@ def power_degree(g: Graph, v, r) -> int:
 
 
 def power_degrees(g: Graph, r) -> list:
-    """Degrees in G^r for every vertex (bulk truncated BFS, stamp array)."""
-    n = g.n
-    adj = g.adjacency_lists()
-    mark = [-1] * n
-    out = [0] * n
-    for v in range(n):
-        mark[v] = v
-        frontier = [v]
-        count = 0
-        for _ in range(r):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if mark[w] != v:
-                        mark[w] = v
-                        nxt.append(w)
-            count += len(nxt)
-            if not nxt:
-                break
-            frontier = nxt
-        out[v] = count
-    return out
+    """Degrees in G^r for every vertex (bulk truncated BFS)."""
+    if r == 1:
+        return g.degrees().tolist()
+    return [sum(map(len, layers))
+            for layers in truncated_bfs(g, r, zip(range(g.n)))]
 
 
 def power_max_degree(g: Graph, r) -> PowerDegreeSummary:
@@ -227,43 +211,11 @@ def short_cycle_proximity(g: Graph, s, t, max_t=DEFAULT_CYCLE_LENGTH_CAP) -> int
     if t > max_t:
         raise BudgetExceededError(f"cycle length {t} exceeds cap {max_t}")
     core = vertices_on_short_cycles(g, t)
-    if not core:
-        return 0
-    adj = g.adjacency_lists()
-    seen = set(core)
-    frontier = list(core)
-    for _ in range(s):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return len(seen)
+    layers = next(truncated_bfs(g, s, [core]))
+    return len(core) + sum(map(len, layers))
 
 
 # -- co-degree and neighborhood density ------------------------------------
-
-
-def _distance_layers(g: Graph, v, r):
-    """Exact-distance layers N_1(v), ..., N_r(v) as sets."""
-    adj = g.adjacency_lists()
-    seen = {v}
-    frontier = [v]
-    layers = []
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        layers.append(set(nxt))
-        frontier = nxt
-    return layers
 
 
 def codegree_max(g: Graph, r):
@@ -272,29 +224,21 @@ def codegree_max(g: Graph, r):
     layer_codegree: max over v, 1 <= i <= r and w != v of the number of
     G-edges from w into the exact-distance layer N_i(v) (w itself excluded
     from the target set).  power_codegree: same with the punctured ball
-    N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).
+    N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).  Both are
+    found by counting the neighbours of each layer's vertices.
     """
-    n = g.n
-    adj = [set(row) for row in g.adjacency_lists()]
+    adj = g.adjacency_lists()
     layer_best = 0
     power_best = 0
-    for v in range(n):
-        layers = _distance_layers(g, v, r)
-        nv = set()
-        for li in layers:
-            nv |= li
-            if not li:
-                continue
-            for w in range(n):
-                if w == v:
-                    continue
-                c = len(adj[w] & li)
-                if c > layer_best:
-                    layer_best = c
-        for w in nv:
-            c = len(adj[w] & nv)
-            if c > power_best:
-                power_best = c
+    for v, layers in enumerate(truncated_bfs(g, r, zip(range(g.n)))):
+        into_ball = Counter()
+        for layer in layers:
+            into_layer = Counter(w for x in layer for w in adj[x])
+            into_layer.pop(v, None)
+            layer_best = max(layer_best, max(into_layer.values(), default=0))
+            into_ball.update(into_layer)
+        power_best = max(power_best, max(
+            (into_ball[w] for layer in layers for w in layer), default=0))
     return layer_best, power_best
 
 
@@ -302,9 +246,6 @@ def power_neighborhood_edge_count(g: Graph, v, r) -> int:
     """Number of G^r-edges spanned by ball(v, r) \\ {v} (implicit)."""
     nv = set(ball(g, v, r))
     nv.discard(v)
-    total = 0
-    for u in nv:
-        bu = set(ball(g, u, r))
-        bu.discard(u)
-        total += len(bu & nv)
+    total = sum(w in nv for layers in truncated_bfs(g, r, zip(nv))
+                for layer in layers for w in layer)
     return total // 2

@@ -31,15 +31,11 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 class RandomSource:
-    """A seeded PCG64 stream.  Not shared between workers; spawn one each."""
+    """A seeded PCG64 stream.  Not shared between workers; make one each."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self.generator = np.random.Generator(np.random.PCG64(self.seed))
-
-    def spawn(self, index: int) -> "RandomSource":
-        """Independent child stream; deterministic in (seed, index)."""
-        return RandomSource(derive_seed(self.seed, index))
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed})"

@@ -123,3 +123,44 @@ class TestExperimentCommand:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind = no-such-kind\nn = 10\nd = 1\nr = 2\n")
         assert main(["experiment", "run", str(cfg)]) == 2
+
+    def test_bad_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind = delta-concentration\nn = abc\nd = 2\nr = 2\n")
+        assert main(["experiment", "run", str(cfg)]) == 2
+        assert f"{cfg}:2:" in capsys.readouterr().err
+
+
+class TestVerifyCommand:
+    # refused before any campaign runs: th1 takes a grid of n, th2 fixes r=2
+    @pytest.mark.parametrize("kind,flag", [("th1", "--n"), ("th2", "--r")])
+    def test_unaccepted_override_exit_2(self, capsys, kind, flag):
+        assert main(["verify-theorem", kind, flag, "3"]) == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestMalformedGraphFile:
+    def stats(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["stats", "--in", str(path), "--r", "2"])
+        assert str(path) in capsys.readouterr().err
+        return code
+
+    def test_edge_count_mismatch(self, tmp_path, capsys):
+        assert self.stats(tmp_path, capsys, "g.txt", "3 2\n0 1\n") == 2
+
+    def test_non_integer_token(self, tmp_path, capsys):
+        assert self.stats(tmp_path, capsys, "g.txt", "3 1\n0 x\n") == 2
+
+    def test_empty_file(self, tmp_path, capsys):
+        assert self.stats(tmp_path, capsys, "g.txt", "") == 2
+
+    def test_endpoint_out_of_range(self, tmp_path, capsys):
+        assert self.stats(tmp_path, capsys, "g.txt", "3 1\n0 3\n") == 2
+
+    def test_negative_vertex_count(self, tmp_path, capsys):
+        assert self.stats(tmp_path, capsys, "g.txt", "-1 0\n") == 2
+
+    def test_dimacs_missing_problem_line(self, tmp_path, capsys):
+        assert self.stats(tmp_path, capsys, "g.col", "e 1 2\n") == 2

@@ -1,13 +1,13 @@
 import pytest
 
-from graphpower import (Coloring, ForestViolationError, RandomSource,
-                        gnp_sample, graph_power, greedy_power_coloring,
-                        power_max_degree, two_phase_power_coloring,
-                        verify_proper_power_coloring)
+from graphpower import (Coloring, ForestViolationError, GraphPowerError,
+                        RandomSource, coloring, gnp_sample, graph_power,
+                        greedy_power_coloring, power_max_degree,
+                        two_phase_power_coloring, verify_proper_power_coloring)
 from graphpower.coloring import (dsatur_chromatic_exact, dsatur_greedy,
                                  greedy_coloring_explicit, read_coloring,
                                  write_coloring)
-from graphpower.metrics import max_clique_exact
+from graphpower.metrics import PowerDegreeSummary, max_clique_exact
 
 from test_graph import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -107,6 +107,15 @@ class TestTwoPhase:
         assert c.palette_size <= power_max_degree(g, 2).delta + 1
         assert verify_proper_power_coloring(g, 3, c) == (True, None)
 
+    def test_palette_bound_is_a_real_error(self, monkeypatch):
+        # an understated Delta(G^{r-1}) puts every vertex of P5 in S and
+        # leaves room for one color where three are needed
+        monkeypatch.setattr(coloring, "power_max_degree",
+                            lambda g, r: PowerDegreeSummary(r, 0, 0, []))
+        with pytest.raises(GraphPowerError, match="bound 1") as exc:
+            two_phase_power_coloring(path_graph(5), 2)
+        assert not isinstance(exc.value, ForestViolationError)
+
     def test_sparse_random_guarantee(self):
         hit = 0
         for seed in range(20):
@@ -145,6 +154,16 @@ class TestColoringIO:
         d = read_coloring(p)
         assert d.colors == c.colors
         assert d.palette_size == c.palette_size and d.radius == c.radius
+
+    def test_non_contiguous_ids(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("s 2 1\nc 0 0\nc 2 1\n")
+        with pytest.raises(ValueError, match="vertex 1"):
+            read_coloring(p)
+
+    def test_palette_mismatch_is_value_error(self):
+        with pytest.raises(ValueError, match="palette size 5"):
+            Coloring([0, 1], 5, 1)
 
     def test_header_format(self, tmp_path):
         p = tmp_path / "c.txt"
