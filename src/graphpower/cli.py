@@ -30,22 +30,6 @@ def _write_graph(g, path):
     (write_dimacs if path.endswith(".col") else write_edgelist)(g, path)
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--d", type=float, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--epsilon", type=float, default=None)
-    sub.add_argument("--clique-budget", type=int, default=None)
-    sub.add_argument("--chi-budget", type=int, default=None)
-    sub.add_argument("--edge-cap", type=int, default=None)
-    sub.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    sub.add_argument("--out", default=None)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphpower",
@@ -104,7 +88,12 @@ def build_parser():
     p_verify.add_argument("kind",
                           choices=["th1", "th2", "th3", "th4", "lemma-clique",
                                    "degree-pmf"])
-    _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--trials", type=int, default=None)
+    p_verify.add_argument("--n", type=int, default=None)
+    p_verify.add_argument("--d", type=float, default=None)
+    p_verify.add_argument("--r", type=int, default=None)
     return parser
 
 
@@ -113,7 +102,7 @@ _FORMULAS = {
     "d-star": (("n", int), ("r", int)),
     "u-value": (("ell", str), ("d", float)),
     "log-u": (("ell", str), ("d", float)),
-    "degree-pmf": (("n", int), ("d", float), ("r", int), ("D", int)),
+    "degree-pmf": (("d", float), ("r", int), ("D", int)),
     "lemma2-exact": (("D", int), ("r", int)),
     "lemma2-lagrange": (("D", float), ("r", int)),
     "janson-k0": (("n", int), ("d", float), ("r", int), ("epsilon", float)),

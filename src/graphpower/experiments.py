@@ -349,8 +349,8 @@ def summarize(cfg: ExperimentConfig, records) -> dict:
         for k in range(cfg.degree_cap + 1):
             freqs[k] = [rec.values[f"count_{k}"] / cfg.n for rec in records]
         out["mean_freq"] = {k: sum(v) / len(v) for k, v in freqs.items()}
-        out["pmf"] = {k: theory.degree_sum_pmf(cfg.d, cfg.r, k)
-                      for k in range(cfg.degree_cap + 1)}
+        out["pmf"] = dict(enumerate(theory.degree_pmf(cfg.d, cfg.r,
+                                                      cfg.degree_cap)))
         out["total_observations"] = total_n
     return out
 
@@ -440,30 +440,35 @@ def verify_theorem(kind, seed=1, workers=1, **overrides) -> dict:
     return runner(seed=seed, workers=workers, **overrides)
 
 
-# expected number of the n draws past the pmf cap above which the predicted
-# maximum is refused rather than truncated
+# the pmf horizon grows until fewer than this many of the n draws are
+# expected in its top half; the mass past it is then negligible
 _PMF_TAIL_TOLERANCE = 1e-3
 
 
 def predicted_max_degree(n, d, r):
     """(mean, SD) of the maximum of n independent draws from the limit
-    G^r-degree pmf ``theory.degree_sum_pmf(d, r, .)``.
+    G^r-degree pmf ``theory.degree_pmf(d, r, .)``.
 
     With P(max >= k) = 1 - (1 - P(D >= k))^n, E[max] is the sum of
     P(max >= k) and E[max^2] the sum of (2k - 1) P(max >= k) over
-    k = 1..cap, the pmf's enumeration cap.  Raises DomainError when the
-    draws past the cap are not negligible (n * P(D > cap) above 1e-3),
-    instead of truncating.
+    k = 1..top.  The horizon top starts at 64 and doubles until it holds
+    at least half the mass and n * P(top/2 < D <= top) <= 1e-3; the mass
+    past it is then dropped.  Raises DomainError, naming n, d and r, when
+    the pmf refuses the horizon.
     """
-    cap = theory.DEFAULT_PMF_CAP
-    pmf = [theory.degree_sum_pmf(d, r, k) for k in range(cap + 1)]
-    tail = max(1.0 - math.fsum(pmf), 0.0)  # P(D > cap)
-    if n * tail > _PMF_TAIL_TOLERANCE:
-        raise DomainError(
-            f"n * P(D > {cap}) = {n * tail:.3g} at n={n}, d={d}, r={r}: "
-            "the maximum runs past the pmf cap")
-    mean = second = 0.0
-    for k in range(cap, 0, -1):
+    top = 64
+    while True:
+        try:
+            pmf = theory.degree_pmf(d, r, top)
+        except (BudgetExceededError, DomainError) as exc:
+            raise DomainError(f"no predicted maximum at n={n}, d={d}, r={r}: "
+                              f"{exc}") from exc
+        if (math.fsum(pmf) >= 0.5
+                and n * math.fsum(pmf[top // 2 + 1:]) <= _PMF_TAIL_TOLERANCE):
+            break
+        top *= 2
+    mean = second = tail = 0.0
+    for k in range(top, 0, -1):
         tail = min(tail + pmf[k], 1.0)  # P(D >= k)
         reached = -math.expm1(n * math.log1p(-tail)) if tail < 1.0 else 1.0
         mean += reached

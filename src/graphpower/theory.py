@@ -9,12 +9,13 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, DomainError, NoConvergenceError
 
-DEFAULT_PMF_CAP = 60
 DEFAULT_ENUM_WORK_CAP = 5_000_000
 
 
@@ -22,9 +23,9 @@ DEFAULT_ENUM_WORK_CAP = 5_000_000
 class DegreeProfile:
     """BFS layer sizes (l_1, ..., l_r) from a vertex, with implicit l_0 = 1.
 
-    D is the degree in G^r this profile represents; L the product of the
-    nonzero layer sizes.  A zero layer followed by a nonzero one is
-    infeasible (unreachable vertices cannot repopulate deeper layers).
+    D is the degree in G^r this profile represents.  A zero layer followed
+    by a nonzero one is infeasible (unreachable vertices cannot repopulate
+    deeper layers).
     """
 
     ell: tuple
@@ -42,15 +43,6 @@ class DegreeProfile:
     def total(self):
         """D: the sum of the layer sizes."""
         return sum(self.ell)
-
-    @property
-    def product(self):
-        """L: product over the nonzero layer sizes."""
-        out = 1
-        for x in self.ell:
-            if x:
-                out *= x
-        return out
 
     @property
     def feasible(self):
@@ -152,23 +144,7 @@ def u_value(ell, d) -> float:
     return 0.0 if lv == float("-inf") else math.exp(lv)
 
 
-def log_u_stirling(ell, d) -> float:
-    """Stirling-form diagnostic for log_u; carries O(r) slack.
-
-    D log d - d(1 + D - l_r) + D - sum l_i log(l_i / l_{i-1}) - (1/2) log L.
-    Kept separate from log_u, which is exact.
-    """
-    profile = ell if isinstance(ell, DegreeProfile) else DegreeProfile(tuple(ell))
-    if not profile.feasible:
-        return float("-inf")
-    big_d = profile.total
-    if big_d == 0:
-        return -d
-    return (big_d * math.log(d) - d * (1 + big_d - profile.ell[-1]) + big_d
-            - layer_entropy(profile.ell) - 0.5 * math.log(profile.product))
-
-
-def _feasible_compositions(total, r, work_cap):
+def _feasible_compositions(total, r):
     """Yield feasible layer vectors summing to ``total``: k positive parts
     padded with trailing zeros, k = 0..r."""
     if total == 0:
@@ -178,7 +154,7 @@ def _feasible_compositions(total, r, work_cap):
     for k in range(1, r + 1):
         for cuts in combinations(range(1, total), k - 1):
             work += 1
-            if work > work_cap:
+            if work > DEFAULT_ENUM_WORK_CAP:
                 raise BudgetExceededError("composition enumeration work cap exceeded")
             parts = []
             prev = 0
@@ -189,20 +165,45 @@ def _feasible_compositions(total, r, work_cap):
             yield tuple(parts) + (0,) * (r - k)
 
 
-def degree_sum_pmf(d, r, big_d, cap=DEFAULT_PMF_CAP,
-                   work_cap=DEFAULT_ENUM_WORK_CAP) -> float:
-    """Limit pmf of the G^r-degree: sum of u over layer profiles with sum D.
+def degree_pmf(d, r, top) -> list:
+    """Limit pmf [P(D=0), ..., P(D=top)] of the G^r-degree, dropping the
+    vanishing finite-n correction factor.
 
-    The vanishing finite-n correction factor is dropped.  ``d`` may also be
-    a TheoryParams bundle.
+    D is the total progeny of generations 1..r of a Poisson(d) branching
+    process (layer-size law ``u_value``), with generating function H_r,
+    H_0 = 1, H_k(z) = exp(d(z H_{k-1}(z) - 1)).  Each round exponentiates
+    the series a = d z H_{k-1}: b_0 = e^{-d}, m b_m = sum_k k a_k b_{m-k},
+    all terms nonnegative.  Raises BudgetExceededError when r (top+1)^2
+    exceeds DEFAULT_ENUM_WORK_CAP, DomainError when e^{-d} underflows.
+    """
+    if d < 0:
+        raise DomainError("d must be >= 0")
+    if r * (top + 1) ** 2 > DEFAULT_ENUM_WORK_CAP:
+        raise BudgetExceededError(
+            f"pmf to D={top} at r={r} exceeds work cap {DEFAULT_ENUM_WORK_CAP}")
+    b0 = math.exp(-d)
+    if b0 < sys.float_info.min:
+        raise DomainError(f"e^-d underflows at d={d}")
+    if top < 0:
+        return []
+    h = [1.0] + [0.0] * top
+    for _ in range(r):
+        ka = [k * d * h[k - 1] for k in range(1, top + 1)]  # k a_k, k >= 1
+        b = [b0]
+        for m in range(1, top + 1):
+            b.append(sum(map(operator.mul, ka, b[::-1])) / m)
+        h = b
+    return h
+
+
+def degree_sum_pmf(d, r, big_d) -> float:
+    """Limit pmf P(D = big_d) of the G^r-degree (see ``degree_pmf``).
+
+    ``d`` may also be a TheoryParams bundle.
     """
     if isinstance(d, TheoryParams):
         r, d = d.r, d.d
-    if big_d < 0:
-        return 0.0
-    if big_d > cap:
-        raise BudgetExceededError(f"D={big_d} exceeds enumeration cap {cap}")
-    return sum(u_value(ell, d) for ell in _feasible_compositions(big_d, r, work_cap))
+    return degree_pmf(d, r, big_d)[big_d] if big_d >= 0 else 0.0
 
 
 # -- layer-entropy minimization -------------------------------------------
@@ -222,7 +223,7 @@ def layer_entropy(ell) -> float:
     return out
 
 
-def lemma2_min_exact(big_d, r, work_cap=DEFAULT_ENUM_WORK_CAP):
+def lemma2_min_exact(big_d, r):
     """Exact integer minimum of the layer entropy over profiles summing to D.
 
     Returns (value, argmin profile); the lexicographically smallest argmin
@@ -235,7 +236,7 @@ def lemma2_min_exact(big_d, r, work_cap=DEFAULT_ENUM_WORK_CAP):
         raise ValueError("r must be >= 1")
     best = float("inf")
     arg = None
-    for ell in _feasible_compositions(big_d, r, work_cap):
+    for ell in _feasible_compositions(big_d, r):
         val = layer_entropy(ell)
         if val < best or (val == best and (arg is None or ell < arg)):
             best = val

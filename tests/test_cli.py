@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from graphpower import experiments, read_edgelist, u_value
 from graphpower.cli import main
-from graphpower import read_edgelist
+from graphpower.theory import _feasible_compositions
 
 
 def run(capsys, *argv):
@@ -96,6 +97,21 @@ class TestEval:
     def test_missing_param(self, capsys):
         assert main(["eval", "d-star", "n=10"]) == 2
 
+    def test_degree_pmf_matches_enumeration(self, capsys):
+        code, rep = run(capsys, "eval", "degree-pmf", "d=2", "r=2", "D=61")
+        oracle = sum(u_value(ell, 2.0) for ell in _feasible_compositions(61, 2))
+        assert code == 0
+        assert rep["value"] == pytest.approx(oracle, rel=1e-12)
+
+    def test_degree_pmf_work_bound(self, capsys):
+        assert main(["eval", "degree-pmf", "d=2", "r=2", "D=100000000"]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds work cap" in err and "Traceback" not in err
+
+    def test_degree_pmf_underflow(self, capsys):
+        assert main(["eval", "degree-pmf", "d=800", "r=1", "D=60"]) == 1
+        assert "e^-d underflows at d=800" in capsys.readouterr().err
+
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.txt"
         batch.write_text("# two evaluations\n"
@@ -137,6 +153,16 @@ class TestVerifyCommand:
     def test_unaccepted_override_exit_2(self, capsys, kind, flag):
         assert main(["verify-theorem", kind, flag, "3"]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_dropped_flag_is_a_usage_error(self, monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr(experiments, "verify_theorem", no_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theorem", "th2", "--edge-cap", "5"])
+        assert exc.value.code == 2
+        assert "--edge-cap" in capsys.readouterr().err
 
 
 class TestMalformedGraphFile:

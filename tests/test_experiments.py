@@ -206,8 +206,13 @@ def _max_law(n, cdf):
 
 
 class TestPredictedMax:
-    # past the pmf cap of 60, so the oracle keeps the whole tail
+    # past the pmf horizon of 64, so the oracle keeps the whole tail
     K = np.arange(121)
+
+    @staticmethod
+    def compound_poisson_cdf(d, k):
+        # D = X + (sum of X iid Poisson(d)) with X ~ Poisson(d)
+        return (poisson.pmf(k, d) * poisson.cdf(k[:, None] - k, k * d)).sum(axis=1)
 
     @pytest.mark.parametrize("n", [10, 10 ** 4, 10 ** 6])
     @pytest.mark.parametrize("d", [0.5, 2.0, 5.0])
@@ -218,18 +223,25 @@ class TestPredictedMax:
         assert sd == pytest.approx(want_sd, rel=1e-6)
 
     def test_r2_is_compound_poisson_order_statistic(self):
-        # D = X + (sum of X iid Poisson(d)) with X ~ Poisson(d)
-        d, n, x = 2.0, 10 ** 5, self.K
-        cdf = (poisson.pmf(x, d)
-               * poisson.cdf(self.K[:, None] - x, x * d)).sum(axis=1)
-        mean, sd = predicted_max_degree(n, d, 2)
-        want_mean, want_sd = _max_law(n, cdf)
+        n = 10 ** 5
+        mean, sd = predicted_max_degree(n, 2.0, 2)
+        want_mean, want_sd = _max_law(n, self.compound_poisson_cdf(2.0, self.K))
         assert mean == pytest.approx(want_mean, rel=1e-6)
         assert sd == pytest.approx(want_sd, rel=1e-4)
 
-    def test_tail_past_cap_refused(self):
-        with pytest.raises(DomainError, match="pmf cap"):
-            predicted_max_degree(10 ** 6, 5.0, 2)
+    def test_horizon_grows_past_64(self):
+        # the maximum sits near 125: the horizon doubles to 512
+        n = 10 ** 6
+        mean, sd = predicted_max_degree(n, 5.0, 2)
+        want_mean, want_sd = _max_law(
+            n, self.compound_poisson_cdf(5.0, np.arange(513)))
+        assert mean == pytest.approx(want_mean, rel=1e-6)
+        assert sd == pytest.approx(want_sd, rel=1e-4)
+
+    def test_past_work_bound_refused(self):
+        # the bulk of D sits near d^3 = 125000, beyond the pmf's work bound
+        with pytest.raises(DomainError, match="n=1000000, d=50.0, r=3"):
+            predicted_max_degree(10 ** 6, 50.0, 3)
 
 
 class TestTh1Gate:

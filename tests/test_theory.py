@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from graphpower import (DegreeProfile, DomainError, TheoryParams,
-                        aks_chi_bound, conjecture_gap, d_star, degree_sum_pmf,
-                        graph_power, iterated_log, janson_k0, janson_mu,
-                        layer_entropy, lemma2_min_exact, lemma2_min_lagrange,
-                        log_u, u_value)
+from graphpower import (BudgetExceededError, DegreeProfile, DomainError,
+                        TheoryParams, aks_chi_bound, conjecture_gap, d_star,
+                        degree_sum_pmf, graph_power, iterated_log, janson_k0,
+                        janson_mu, layer_entropy, lemma2_min_exact,
+                        lemma2_min_lagrange, log_u, u_value)
+from graphpower.theory import _feasible_compositions, degree_pmf
 
 from test_graph import complete_graph, cycle_graph
 
@@ -114,10 +115,37 @@ class TestPmf:
         assert degree_sum_pmf(params, 0, 3) == pytest.approx(
             degree_sum_pmf(2.0, 2, 3))
 
-    def test_cap(self):
-        from graphpower import BudgetExceededError
+    @pytest.mark.parametrize("d,r", [(0.5, 1), (1.0, 2), (1.2, 3), (2.0, 2),
+                                     (2.0, 3), (5.0, 1), (5.0, 2), (0.7, 4)])
+    def test_recursion_matches_enumeration(self, d, r):
+        pmf = degree_pmf(d, r, 80)
+        for big_d, value in enumerate(pmf):
+            oracle = sum(u_value(ell, d)
+                         for ell in _feasible_compositions(big_d, r))
+            assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_long_horizon_sums_to_one(self):
+        assert sum(degree_pmf(2.0, 3, 400)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_lookup_matches_enumeration(self):
+        oracle = sum(u_value(ell, 1.0) for ell in _feasible_compositions(61, 2))
+        assert degree_sum_pmf(1.0, 2, 61) == pytest.approx(oracle, rel=1e-12)
+
+    def test_negative_degree(self):
+        assert degree_sum_pmf(2.0, 2, -1) == 0.0
+
+    def test_work_bound(self):
+        # r (top+1)^2 above DEFAULT_ENUM_WORK_CAP: refused before any work
+        with pytest.raises(BudgetExceededError, match="work cap"):
+            degree_pmf(2.0, 2, 10 ** 8)
         with pytest.raises(BudgetExceededError):
-            degree_sum_pmf(1.0, 2, 61)
+            degree_sum_pmf(1.0, 5, 1000)
+
+    def test_underflow_refused(self):
+        # e^-d is subnormal from d ~ 708; the recursion would return 0
+        with pytest.raises(DomainError):
+            degree_pmf(800.0, 1, 60)
+        assert degree_pmf(700.0, 1, 0)[0] == pytest.approx(math.exp(-700))
 
 
 class TestLemma2Exact:
