@@ -113,6 +113,8 @@ _FORMULAS = {
 
 
 def _eval_formula(formula, params):
+    if formula not in _FORMULAS:
+        raise ConfigError(f"unknown formula {formula!r}")
     kv = {}
     for item in params:
         if "=" not in item:
@@ -126,17 +128,22 @@ def _eval_formula(formula, params):
             if default is not None:
                 return default
             raise ConfigError(f"{formula} needs {name}=...")
-        caster = casters[name]
-        if caster is str:
-            return kv[name]
-        return caster(kv[name])
+        try:
+            return casters[name](kv[name])
+        except ValueError:
+            raise ConfigError(f"{formula}: {name}={kv[name]!r} does not parse "
+                              f"as {casters[name].__name__}") from None
 
     if formula == "iterated-log":
         value = theory.iterated_log(arg("x"), arg("k"))
     elif formula == "d-star":
         value = theory.d_star(arg("n"), arg("r"))
     elif formula in ("u-value", "log-u"):
-        ell = tuple(int(x) for x in arg("ell").split(",") if x != "")
+        try:
+            ell = tuple(int(x) for x in arg("ell").split(",") if x != "")
+        except ValueError:
+            raise ConfigError(f"{formula}: ell={kv['ell']!r} is not a "
+                              "comma-separated list of integers") from None
         fn = theory.u_value if formula == "u-value" else theory.log_u
         value = fn(ell, arg("d"))
     elif formula == "degree-pmf":
@@ -152,17 +159,15 @@ def _eval_formula(formula, params):
                 "residual": sol.residual}
     elif formula == "janson-k0":
         params_t = theory.TheoryParams(arg("n"), arg("d"), arg("r"),
-                                       float(kv.get("epsilon", 0.1)))
+                                       arg("epsilon", 0.1))
         value = theory.janson_k0(params_t)
     elif formula == "janson-mu":
         params_t = theory.TheoryParams(arg("n"), arg("d"), arg("r"),
-                                       float(kv.get("epsilon", 0.1)))
+                                       arg("epsilon", 0.1))
         value = theory.janson_mu(params_t, arg("k"))
-    elif formula == "aks-bound":
+    else:  # aks-bound
         value = theory.aks_chi_bound(arg("delta"), arg("t"),
-                                     float(kv.get("c", 1.0)))
-    else:
-        raise ConfigError(f"unknown formula {formula!r}")
+                                     arg("c", 1.0))
     return {"formula": formula, "inputs": kv, "value": value}
 
 

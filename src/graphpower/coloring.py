@@ -128,20 +128,22 @@ def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET):
     class _Done(Exception):
         pass
 
-    def bb(num_colored, used):
+    def enter(num_colored, used):
+        """Count a search node; return its frame [v, next color, color
+        limit, used, touched], or None when it is a leaf."""
         nonlocal best, best_colors, nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError("chromatic node budget exceeded",
                                       lower=lb, upper=best)
         if used >= best:
-            return
+            return None
         if num_colored == n:
             best = used
             best_colors = colors.copy()
             if best <= lb:
                 raise _Done
-            return
+            return None
         v = -1
         v_key = None
         for u in range(n):
@@ -150,25 +152,37 @@ def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET):
                 if v_key is None or key > v_key:
                     v_key = key
                     v = u
-        limit = min(used + 1, best - 1)
-        mask = neighbor_masks[v]
-        for c in range(limit):
-            if (mask >> c) & 1:
+        return [v, 0, min(used + 1, best - 1), used, None]
+
+    # depth-first over an explicit stack, one frame per colored vertex, so
+    # the search depth (up to n) does not depend on Python's recursion limit
+    try:
+        stack = [enter(0, 0)]
+        while stack:
+            frame = stack[-1]
+            v, c, limit, used, touched = frame
+            if touched is not None:  # undo the color tried last
+                colors[v] = -1
+                bit = ~(1 << (c - 1))
+                for w in touched:
+                    neighbor_masks[w] &= bit
+            mask = neighbor_masks[v]
+            while c < limit and (mask >> c) & 1:
+                c += 1
+            if c >= limit:
+                stack.pop()
                 continue
             colors[v] = c
-            touched = []
             bit = 1 << c
-            for w in adj[v]:
-                if colors[w] < 0 and not (neighbor_masks[w] & bit):
-                    neighbor_masks[w] |= bit
-                    touched.append(w)
-            bb(num_colored + 1, max(used, c + 1))
-            colors[v] = -1
+            touched = [w for w in adj[v]
+                       if colors[w] < 0 and not (neighbor_masks[w] & bit)]
             for w in touched:
-                neighbor_masks[w] &= ~bit
-
-    try:
-        bb(0, 0)
+                neighbor_masks[w] |= bit
+            frame[1] = c + 1
+            frame[4] = touched
+            child = enter(len(stack), max(used, c + 1))
+            if child is not None:
+                stack.append(child)
     except _Done:
         pass
     return best, Coloring(best_colors, best, 1)

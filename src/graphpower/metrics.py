@@ -7,6 +7,7 @@ Ties in argmax reductions always go to the smallest vertex index.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -148,14 +149,18 @@ def independence_number(g: Graph, mode="exact", node_budget=DEFAULT_NODE_BUDGET)
 
 
 def greedy_independent_set(g: Graph) -> list:
-    """Min-degree greedy independent set (smallest index breaks ties)."""
-    n = g.n
-    adj = [set(row) for row in g.adjacency_lists()]
-    deg = [len(a) for a in adj]
-    alive = [True] * n
-    import heapq
+    """Min-degree greedy independent set, returned sorted.
 
-    heap = [(deg[v], v) for v in range(n)]
+    Repeatedly takes the alive vertex of least alive-degree (smallest index
+    on ties) and deletes it and its neighbours.  A lazy heap holds one
+    current (degree, vertex) entry per alive vertex: each pick pushes one
+    entry per distinct vertex whose alive-degree it lowered, and stale
+    entries are skipped on pop.
+    """
+    adj = g.adjacency_lists()
+    deg = g.degrees().tolist()
+    alive = [True] * g.n
+    heap = list(zip(deg, range(g.n)))
     heapq.heapify(heap)
     chosen = []
     while heap:
@@ -166,11 +171,14 @@ def greedy_independent_set(g: Graph) -> list:
         kill = [v] + [w for w in adj[v] if alive[w]]
         for w in kill:
             alive[w] = False
+        touched = set()
         for w in kill:
             for x in adj[w]:
                 if alive[x]:
                     deg[x] -= 1
-                    heapq.heappush(heap, (deg[x], x))
+                    touched.add(x)
+        for x in touched:
+            heapq.heappush(heap, (deg[x], x))
     return sorted(chosen)
 
 

@@ -174,10 +174,13 @@ def degree_pmf(d, r, top) -> list:
     H_0 = 1, H_k(z) = exp(d(z H_{k-1}(z) - 1)).  Each round exponentiates
     the series a = d z H_{k-1}: b_0 = e^{-d}, m b_m = sum_k k a_k b_{m-k},
     all terms nonnegative.  Raises BudgetExceededError when r (top+1)^2
-    exceeds DEFAULT_ENUM_WORK_CAP, DomainError when e^{-d} underflows.
+    exceeds DEFAULT_ENUM_WORK_CAP, DomainError when d is not finite and
+    nonnegative, r < 0 or e^{-d} underflows.
     """
-    if d < 0:
-        raise DomainError("d must be >= 0")
+    if not (math.isfinite(d) and d >= 0):
+        raise DomainError(f"d must be finite and >= 0, got {d}")
+    if r < 0:
+        raise DomainError(f"r must be >= 0, got {r}")
     if r * (top + 1) ** 2 > DEFAULT_ENUM_WORK_CAP:
         raise BudgetExceededError(
             f"pmf to D={top} at r={r} exceeds work cap {DEFAULT_ENUM_WORK_CAP}")

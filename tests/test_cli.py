@@ -112,6 +112,31 @@ class TestEval:
         assert main(["eval", "degree-pmf", "d=800", "r=1", "D=60"]) == 1
         assert "e^-d underflows at d=800" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,key", [
+        (["degree-pmf", "d=2", "r=2", "D=x"], "D='x'"),
+        (["u-value", "ell=1,x", "d=2"], "ell='1,x'"),
+        (["janson-k0", "n=100", "d=2", "r=2", "epsilon=zz"], "epsilon='zz'"),
+    ])
+    def test_value_that_does_not_parse_exit_2(self, capsys, argv, key):
+        assert main(["eval", *argv]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_unknown_batch_formula_exit_2(self, tmp_path, capsys):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("no-such-formula x=1\n")
+        assert main(["eval", "--batch", str(batch)]) == 2
+        assert "no-such-formula" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["d=nan", "r=2", "D=3"], "d must be finite"),
+        (["d=2", "r=-1", "D=0"], "r must be >= 0"),
+    ])
+    def test_degree_pmf_domain_exit_1(self, capsys, argv, message):
+        assert main(["eval", "degree-pmf", *argv]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.txt"
         batch.write_text("# two evaluations\n"

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
-from graphpower import (Coloring, ForestViolationError, GraphPowerError,
-                        RandomSource, coloring, gnp_sample, graph_power,
-                        greedy_power_coloring, power_max_degree,
+from graphpower import (BudgetExceededError, Coloring, ForestViolationError,
+                        GraphPowerError, RandomSource, coloring, gnp_sample,
+                        graph_power, greedy_power_coloring, power_max_degree,
                         two_phase_power_coloring, verify_proper_power_coloring)
 from graphpower.coloring import (dsatur_chromatic_exact, dsatur_greedy,
                                  greedy_coloring_explicit, read_coloring,
@@ -69,6 +71,23 @@ class TestDsatur:
     def test_exact_edgeless(self):
         from graphpower import Graph
         assert dsatur_chromatic_exact(Graph.from_edges(4, []))[0] == 1
+
+    def test_exact_long_odd_cycle(self):
+        # the search goes 1501 frames deep before it refutes 2 colors
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            chi, col = dsatur_chromatic_exact(cycle_graph(1501))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert chi == 3 and col.palette_size == 3
+        assert verify_proper_power_coloring(cycle_graph(1501), 1, col) == (
+            True, None)
+
+    def test_exact_budget_carries_bounds(self):
+        with pytest.raises(BudgetExceededError) as info:
+            dsatur_chromatic_exact(cycle_graph(1501), node_budget=100)
+        assert (info.value.lower, info.value.upper) == (2, 3)
 
     def test_exact_between_clique_and_greedy(self):
         for seed in range(5):

@@ -134,6 +134,16 @@ class TestPmf:
     def test_negative_degree(self):
         assert degree_sum_pmf(2.0, 2, -1) == 0.0
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_degree_refused(self, d):
+        with pytest.raises(DomainError, match="finite"):
+            degree_pmf(d, 2, 3)
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(DomainError, match="r must be >= 0"):
+            degree_pmf(2.0, -1, 0)
+        assert degree_pmf(2.0, 0, 2) == [1.0, 0.0, 0.0]
+
     def test_work_bound(self):
         # r (top+1)^2 above DEFAULT_ENUM_WORK_CAP: refused before any work
         with pytest.raises(BudgetExceededError, match="work cap"):
