@@ -1,4 +1,5 @@
-"""The truncated-BFS kernel and everything built on it, against networkx.
+"""The truncated-BFS kernel and everything built on it, and the blocked
+G^r-degree kernel, against networkx and the explicit power.
 
 networkx's ``single_source_shortest_path_length`` returns its distances in
 BFS visit order.  Edges are added to the networkx graph in sorted order, so
@@ -6,15 +7,19 @@ its adjacency rows are sorted like :class:`~graphpower.graph.Graph`'s and
 the two searches visit vertices in the same order.
 """
 
+import json
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpower import (Coloring, Graph, ball, bfs_layers, graph_power,
-                        greedy_power_coloring, neighborhood_union,
-                        power_degrees, truncated_bfs,
+from graphpower import (Coloring, Graph, ball, bfs_layers, gnp_sample,
+                        graph_power, greedy_power_coloring, metrics,
+                        neighborhood_union, power_degrees, truncated_bfs,
                         verify_proper_power_coloring)
 from graphpower.coloring import greedy_coloring_explicit
+from graphpower.rng import RandomSource
 
 SETTINGS = settings(max_examples=150, deadline=None)
 radii = st.integers(0, 4)
@@ -89,6 +94,74 @@ def test_neighborhood_union(data, g, r):
 def test_power_degrees(g, r):
     assert power_degrees(g, r) == [len(distances(g, v, r)) - 1
                                    for v in range(g.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120), st.floats(0.3, 0.95), st.integers(2, 4),
+       st.integers(0, 2 ** 32))
+def test_power_degrees_dense(n, p, r, seed):
+    # at r >= 3 the path counts of (A+I)^r pass 255, so a product that
+    # wrapped a narrow entry to 0 would drop a pair
+    g = gnp_sample(n, p, RandomSource(seed))
+    assert power_degrees(g, r) == graph_power(g, r).degrees().tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 60])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_power_degrees_complete(n, r):
+    g = gnp_sample(n, 1.0, RandomSource(0))
+    assert power_degrees(g, r) == [n - 1] * n == graph_power(g, r).degrees().tolist()
+
+
+def degrees_in_small_blocks(g, r, budget):
+    """power_degrees under a key budget of a few keys, and its blocks as
+    (rows, peak expansion, halved)."""
+    blocks = []
+    ball_sizes = metrics._ball_sizes
+
+    def record(g, r, start, stop):
+        sizes, peak = ball_sizes(g, r, start, stop)
+        blocks.append((stop - start, peak, sizes is None))
+        return sizes, peak
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "POWER_KEY_BUDGET", budget)
+        mp.setattr(metrics, "_ball_sizes", record)
+        degs = power_degrees(g, r)
+    # a block may pass the budget only as one row; only larger ones halve
+    assert all(peak <= budget for rows, peak, halved in blocks
+               if rows > 1 and not halved)
+    assert all(rows > 1 for rows, peak, halved in blocks if halved)
+    return degs, blocks
+
+
+@SETTINGS
+@given(graphs(max_n=30), st.integers(2, 4))
+def test_power_degrees_in_small_blocks(g, r):
+    degs, _ = degrees_in_small_blocks(g, r, 3)
+    assert degs == [len(distances(g, v, r)) - 1 for v in range(g.n)]
+
+
+def test_power_degrees_blocks_halve_to_single_rows():
+    g = gnp_sample(300, 0.02, RandomSource(3))
+    degs, blocks = degrees_in_small_blocks(g, 3, 4)
+    assert degs == graph_power(g, 3).degrees().tolist()
+    assert any(halved for _, _, halved in blocks)
+    assert sum(rows for rows, _, halved in blocks if not halved) == g.n
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_power_degrees_empty_and_single_vertex(r):
+    assert power_degrees(Graph.from_edges(0, []), r) == []
+    assert power_degrees(Graph.from_edges(1, []), r) == [0]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_power_degrees_are_python_ints(r):
+    g = gnp_sample(200, 0.02, RandomSource(2))
+    degs = power_degrees(g, r)
+    assert type(degs) is list and all(type(d) is int for d in degs)
+    assert json.loads(json.dumps(degs)) == degs
 
 
 @SETTINGS

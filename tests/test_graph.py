@@ -32,6 +32,15 @@ class TestGraphConstruction:
         assert g.m == 2
         assert list(g.neighbors(1)) == [0, 2]
 
+    def test_from_edges_matches_set_of_pairs(self):
+        rng = np.random.default_rng(0)
+        for n in (2, 7, 40):
+            arr = rng.integers(0, n, size=(300, 2))
+            arr = arr[arr[:, 0] != arr[:, 1]]
+            g = Graph.from_edges(n, arr)
+            pairs = sorted({(min(u, v), max(u, v)) for u, v in arr.tolist()})
+            assert g.edge_array().tolist() == [list(e) for e in pairs]
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
@@ -90,6 +99,21 @@ class TestSampling:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             gnp_sample(5, 1.5, RandomSource(0))
+
+    @pytest.mark.parametrize("n", [2, 150, 500, 2000])
+    @pytest.mark.parametrize("p", [0.001, 0.02, 0.3])
+    def test_bernoulli_matches_per_row_draws(self, n, p):
+        # reference: one draw per row i of the pairs (i, i+1..n-1)
+        for seed in range(5):
+            rng = RandomSource(seed).generator
+            hits = [np.flatnonzero(rng.random(n - 1 - i) < p)
+                    for i in range(n - 1)]
+            u = np.repeat(np.arange(n - 1), [h.size for h in hits])
+            want = Graph.from_edges(
+                n, np.column_stack([u, np.concatenate(hits) + u + 1]))
+            g = gnp_sample(n, p, RandomSource(seed), mode="bernoulli")
+            assert np.array_equal(g.indptr, want.indptr)
+            assert np.array_equal(g.indices, want.indices)
 
 
 class TestGraphPower:

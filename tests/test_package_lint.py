@@ -1,10 +1,15 @@
 """Source rules for the package itself.
 
 Invariants must raise real errors: an ``assert`` vanishes under
-``python -O``, so none may appear in ``src/graphpower``.
+``python -O``, so none may appear in ``src/graphpower``.  The sparse
+implicit trials must not import scipy, whose import alone costs about as
+much set-up time and memory as a trial.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import graphpower
@@ -20,3 +25,21 @@ def test_no_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+SPARSE_TRIALS = """
+import sys
+from graphpower.experiments import ExperimentConfig, run_single_trial
+for kind, n, r in (("delta-concentration", 2000, 2), ("degree-pmf", 2000, 3)):
+    run_single_trial(ExperimentConfig(kind=kind, n=n, d=2.0, r=r, seed=1), 0)
+print("scipy" in sys.modules)
+"""
+
+
+def test_sparse_trials_do_not_import_scipy():
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", SPARSE_TRIALS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
