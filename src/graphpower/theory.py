@@ -33,7 +33,7 @@ class DegreeProfile:
     def __post_init__(self):
         object.__setattr__(self, "ell", tuple(int(x) for x in self.ell))
         if any(x < 0 for x in self.ell):
-            raise ValueError("layer sizes must be nonnegative")
+            raise DomainError(f"layer sizes must be nonnegative, got {self.ell}")
 
     @property
     def r(self):
@@ -65,10 +65,11 @@ class TheoryParams:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.n < 1 or self.d <= 0 or self.r < 1:
-            raise ValueError("require n >= 1, d > 0, r >= 1")
+        if not (self.n >= 1 and math.isfinite(self.d) and self.d > 0
+                and self.r >= 1):
+            raise DomainError("require n >= 1, finite d > 0, r >= 1")
         if not 0 < self.epsilon < 1 / self.r:
-            raise ValueError("require 0 < epsilon < 1/r")
+            raise DomainError("require 0 < epsilon < 1/r")
 
     @property
     def p(self):
@@ -88,7 +89,7 @@ class TheoryParams:
 def iterated_log(x: float, k: int) -> float:
     """Natural log applied k times; k = 0 returns x."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise DomainError(f"k must be >= 0, got {k}")
     for _ in range(k):
         if x <= 0:
             raise DomainError(f"iterated log undefined: intermediate {x} <= 0")
@@ -118,8 +119,8 @@ def log_u(ell, d) -> float:
         profile = ell
     else:
         profile = DegreeProfile(tuple(ell))
-    if d < 0:
-        raise DomainError("d must be >= 0")
+    if not (math.isfinite(d) and d >= 0):
+        raise DomainError(f"d must be finite and >= 0, got {d}")
     if not profile.feasible:
         return float("-inf")
     ells = profile.ell
@@ -142,27 +143,6 @@ def u_value(ell, d) -> float:
     """Layer-profile weight on probability scale (0 for infeasible)."""
     lv = log_u(ell, d)
     return 0.0 if lv == float("-inf") else math.exp(lv)
-
-
-def _feasible_compositions(total, r):
-    """Yield feasible layer vectors summing to ``total``: k positive parts
-    padded with trailing zeros, k = 0..r."""
-    if total == 0:
-        yield (0,) * r
-        return
-    work = 0
-    for k in range(1, r + 1):
-        for cuts in combinations(range(1, total), k - 1):
-            work += 1
-            if work > DEFAULT_ENUM_WORK_CAP:
-                raise BudgetExceededError("composition enumeration work cap exceeded")
-            parts = []
-            prev = 0
-            for c in cuts:
-                parts.append(c - prev)
-                prev = c
-            parts.append(total - prev)
-            yield tuple(parts) + (0,) * (r - k)
 
 
 def degree_pmf(d, r, top) -> list:
@@ -226,25 +206,80 @@ def layer_entropy(ell) -> float:
     return out
 
 
+def _parts(cuts, total):
+    """The composition of ``total`` cut at the increasing points ``cuts``."""
+    return tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+
+
+def _tail_cost(x, s, m):
+    """Layer entropy x log(x/m) + (s-x) log((s-x)/x) of the last two layers
+    (x, s - x) after a layer of size m, for 1 <= x <= s."""
+    return x * math.log(x / m) + ((s - x) * math.log((s - x) / x) if x < s else 0.0)
+
+
 def lemma2_min_exact(big_d, r):
     """Exact integer minimum of the layer entropy over profiles summing to D.
 
     Returns (value, argmin profile); the lexicographically smallest argmin
-    wins ties.  Enumeration is work-capped (raises BudgetExceededError);
-    the cap comfortably covers r <= 3 at D <= ~3000.
+    wins ties.  The feasible prefixes l_1..l_{r-2} are enumerated; after a
+    prefix ending in m with S left to place, the cost of the last two layers
+    (x, S - x) is convex in x (l log(l/m) is jointly convex), so a binary
+    search on its forward difference finds the smallest minimiser x* and
+    only x* - 2..x* + 2 are scored with ``layer_entropy``.  Where that
+    search would cost more than scoring every x in 1..S, all are scored.
+    The result, value and argmin, is bit-identical to scoring every
+    composition.  Each evaluation is one unit of work (a search is charged
+    its longest run); past DEFAULT_ENUM_WORK_CAP units it raises
+    BudgetExceededError, before any evaluation when the profiles and
+    prefixes alone pass the cap.  r = 3 runs to about D = 10^5 and r = 4
+    to about D = 700.
     """
     if big_d < 0:
-        raise ValueError("D must be >= 0")
+        raise DomainError(f"D must be >= 0, got {big_d}")
     if r < 1:
-        raise ValueError("r must be >= 1")
-    best = float("inf")
-    arg = None
-    for ell in _feasible_compositions(big_d, r):
-        val = layer_entropy(ell)
-        if val < best or (val == best and (arg is None or ell < arg)):
-            best = val
-            arg = ell
-    return best, DegreeProfile(arg)
+        raise DomainError(f"r must be >= 1, got {r}")
+    if big_d == 0 or r == 1:
+        ell = (big_d,) + (0,) * (r - 1)
+        return layer_entropy(ell), DegreeProfile(ell)
+    best = (float("inf"), ())
+    work = 0
+
+    def charge(units):
+        nonlocal work
+        work += units
+        if work > DEFAULT_ENUM_WORK_CAP:
+            raise BudgetExceededError(
+                f"layer-entropy minimum at D={big_d}, r={r} exceeds work cap "
+                f"{DEFAULT_ENUM_WORK_CAP}")
+
+    # k positive parts: for k < r - 1 one profile ending in zeros, for
+    # k = r - 1 a prefix of r - 2 parts and S > 0 left for (x, S - x)
+    ks = range(1, min(r - 1, big_d) + 1)
+    for k in ks:   # one unit at least per profile or prefix: refuse early
+        charge(math.comb(big_d - 1, k - 1))
+    for k in ks:
+        for cuts in combinations(range(1, big_d), k - 1):
+            parts = _parts(cuts, big_d)
+            if k < r - 1:
+                candidates = [parts + (0,) * (r - k)]
+            else:
+                prefix, s = parts[:-1], parts[-1]
+                m = prefix[-1] if prefix else 1
+                lo, hi = 1, s
+                probes = (s - 1).bit_length()
+                if 2 * probes + 5 < s:
+                    while lo < hi:   # smallest x with f(x + 1) >= f(x), or s
+                        mid = (lo + hi) // 2
+                        if _tail_cost(mid + 1, s, m) >= _tail_cost(mid, s, m):
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    lo, hi = max(1, lo - 2), min(s, lo + 2)
+                    charge(2 * probes)
+                charge(hi - lo)
+                candidates = [prefix + (x, s - x) for x in range(lo, hi + 1)]
+            best = min(best, *((layer_entropy(ell), ell) for ell in candidates))
+    return best[0], DegreeProfile(best[1])
 
 
 @dataclass
@@ -290,10 +325,10 @@ def lemma2_min_lagrange(big_d, r, tol=1e-10, max_iter=1000) -> LagrangeSolution:
     exists for D > 0; raises NoConvergenceError (with the bracket) if the
     iteration cap is hit first.
     """
-    if big_d <= 0:
-        raise ValueError("D must be > 0")
+    if not (math.isfinite(big_d) and big_d > 0):
+        raise DomainError(f"D must be finite and > 0, got {big_d}")
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise DomainError(f"r must be >= 1, got {r}")
 
     def total(p_r):
         _, ell = _lagrange_profile(p_r, r)
@@ -368,62 +403,3 @@ def aks_chi_bound(delta, t, c=1.0) -> float:
     if not 2 <= t <= delta:
         raise DomainError("require 2 <= t <= delta")
     return c * delta / math.log(t)
-
-
-# -- clique / independence / chromatic gap diagnostic ----------------------
-
-
-def conjecture_gap(g, r, clique_budget=2_000_000, chi_budget=2_000_000,
-                   edge_cap=10 ** 8) -> dict:
-    """Diagnostic for chi(G^r) vs max(omega(G^r), n / alpha(G^r)).
-
-    Computes each quantity exactly where budgets allow, otherwise falls back
-    to bounds; budget overruns become exactness flags, never aborts.
-    """
-    from .coloring import dsatur_chromatic_exact, greedy_coloring_explicit
-    from .errors import BudgetExceededError, MemoryBudgetError
-    from .graph import graph_power
-    from .metrics import (clique_lower_bound, greedy_independent_set,
-                          independence_number, max_clique_exact)
-
-    n = g.n
-    report = {"n": n, "r": r}
-    try:
-        gp = graph_power(g, r, edge_cap=edge_cap)
-    except MemoryBudgetError:
-        report["power_materialized"] = False
-        report["omega"] = clique_lower_bound(g, r)
-        report["omega_exact"] = False
-        report["alpha"] = None
-        report["alpha_exact"] = False
-        report["chi"] = None
-        report["chi_exact"] = False
-        report["ratio"] = None
-        return report
-    report["power_materialized"] = True
-
-    try:
-        omega = max_clique_exact(gp, node_budget=clique_budget)
-        omega_exact = True
-    except BudgetExceededError as exc:
-        omega = max(exc.lower or 1, clique_lower_bound(g, r))
-        omega_exact = False
-    try:
-        alpha = independence_number(gp, mode="exact", node_budget=clique_budget)
-        alpha_exact = True
-    except BudgetExceededError:
-        alpha = len(greedy_independent_set(gp))
-        alpha_exact = False
-    try:
-        chi, _ = dsatur_chromatic_exact(gp, node_budget=chi_budget)
-        chi_exact = True
-    except BudgetExceededError as exc:
-        chi = exc.upper or greedy_coloring_explicit(gp).palette_size
-        chi_exact = False
-
-    denom = max(omega, n / alpha) if alpha else None
-    report.update(omega=omega, omega_exact=omega_exact,
-                  alpha=alpha, alpha_exact=alpha_exact,
-                  chi=chi, chi_exact=chi_exact,
-                  ratio=(chi / denom) if denom else None)
-    return report

@@ -5,7 +5,8 @@ import pytest
 
 from graphpower import experiments, read_edgelist, u_value
 from graphpower.cli import main
-from graphpower.theory import _feasible_compositions
+
+from compositions import feasible_compositions
 
 
 def run(capsys, *argv):
@@ -99,7 +100,7 @@ class TestEval:
 
     def test_degree_pmf_matches_enumeration(self, capsys):
         code, rep = run(capsys, "eval", "degree-pmf", "d=2", "r=2", "D=61")
-        oracle = sum(u_value(ell, 2.0) for ell in _feasible_compositions(61, 2))
+        oracle = sum(u_value(ell, 2.0) for ell in feasible_compositions(61, 2))
         assert code == 0
         assert rep["value"] == pytest.approx(oracle, rel=1e-12)
 
@@ -136,6 +137,23 @@ class TestEval:
         assert main(["eval", "degree-pmf", *argv]) == 1
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma2-exact", "D=-1", "r=2"],
+        ["lemma2-exact", "D=4", "r=0"],
+        ["lemma2-lagrange", "D=0", "r=2"],
+        ["lemma2-lagrange", "D=inf", "r=2"],
+        ["janson-k0", "n=0", "d=2", "r=2"],
+        ["u-value", "ell=-1", "d=2"],
+        ["iterated-log", "x=2", "k=-1"],
+        ["log-u", "ell=1", "d=nan"],
+        ["u-value", "ell=1", "d=inf"],
+    ])
+    def test_outside_domain_exit_1(self, capsys, argv):
+        assert main(["eval", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.txt"

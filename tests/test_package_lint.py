@@ -1,7 +1,9 @@
 """Source rules for the package itself.
 
 Invariants must raise real errors: an ``assert`` vanishes under
-``python -O``, so none may appear in ``src/graphpower``.  The sparse
+``python -O``, so none may appear in ``src/graphpower``.  The closed-form
+evaluators raise only the package's own error types, which the CLI maps to
+exit codes; a bare ``ValueError`` there would end in a traceback.  The sparse
 implicit trials must not import scipy, whose import alone costs about as
 much set-up time and memory as a trial.
 """
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import graphpower
+from graphpower import errors
 
 PACKAGE = Path(graphpower.__file__).parent
 
@@ -25,6 +28,21 @@ def test_no_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def test_theory_raises_only_package_errors():
+    own = {name for name, obj in vars(errors).items()
+           if isinstance(obj, type) and issubclass(obj, errors.GraphPowerError)}
+    path = PACKAGE / "theory.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+        if name not in own:
+            found.append(f"theory.py:{node.lineno} raises {name}")
+    assert not found, f"non-package errors raised: {', '.join(found)}"
 
 
 SPARSE_TRIALS = """

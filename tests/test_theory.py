@@ -4,13 +4,12 @@ from itertools import product
 import pytest
 
 from graphpower import (BudgetExceededError, DegreeProfile, DomainError,
-                        TheoryParams, aks_chi_bound, conjecture_gap, d_star,
-                        degree_sum_pmf, graph_power, iterated_log, janson_k0,
-                        janson_mu, layer_entropy, lemma2_min_exact,
-                        lemma2_min_lagrange, log_u, u_value)
-from graphpower.theory import _feasible_compositions, degree_pmf
+                        TheoryParams, aks_chi_bound, d_star, degree_sum_pmf,
+                        iterated_log, janson_k0, janson_mu, layer_entropy,
+                        lemma2_min_exact, lemma2_min_lagrange, log_u, u_value)
+from graphpower.theory import degree_pmf
 
-from test_graph import complete_graph, cycle_graph
+from compositions import entropy_min_enumerated, feasible_compositions
 
 
 def entropy_min_oracle(big_d, r):
@@ -50,6 +49,8 @@ class TestIteratedLog:
     def test_domain(self):
         with pytest.raises(DomainError):
             iterated_log(1.0, 2)  # log(1) = 0, second log undefined
+        with pytest.raises(DomainError, match="k must be >= 0"):
+            iterated_log(2.0, -1)
 
 
 class TestDStar:
@@ -89,6 +90,19 @@ class TestLayerWeight:
         p = DegreeProfile((2, 1))
         assert u_value(p, 2.0) == pytest.approx(u_value((2, 1), 2.0))
 
+    def test_negative_layer_refused(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            DegreeProfile((2, -1))
+        with pytest.raises(DomainError):
+            u_value((-1,), 2.0)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -1.0])
+    def test_degree_outside_domain_refused(self, d):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            log_u((1,), d)
+        with pytest.raises(DomainError):
+            u_value((1, 1), d)
+
 
 class TestPmf:
     def test_r1_at_zero(self):
@@ -121,14 +135,14 @@ class TestPmf:
         pmf = degree_pmf(d, r, 80)
         for big_d, value in enumerate(pmf):
             oracle = sum(u_value(ell, d)
-                         for ell in _feasible_compositions(big_d, r))
+                         for ell in feasible_compositions(big_d, r))
             assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_long_horizon_sums_to_one(self):
         assert sum(degree_pmf(2.0, 3, 400)) == pytest.approx(1.0, abs=1e-12)
 
     def test_lookup_matches_enumeration(self):
-        oracle = sum(u_value(ell, 1.0) for ell in _feasible_compositions(61, 2))
+        oracle = sum(u_value(ell, 1.0) for ell in feasible_compositions(61, 2))
         assert degree_sum_pmf(1.0, 2, 61) == pytest.approx(oracle, rel=1e-12)
 
     def test_negative_degree(self):
@@ -204,6 +218,33 @@ class TestLemma2Exact:
             ell += [0] * (r - len(ell))
             assert val <= layer_entropy(ell) + 1e-12
 
+    @pytest.mark.parametrize("r,sizes", [(1, range(201)), (2, range(201)),
+                                         (3, range(201)),
+                                         (4, [*range(61), 100, 200])])
+    def test_equals_enumeration_bit_for_bit(self, r, sizes):
+        for big_d in sizes:
+            val, arg = lemma2_min_exact(big_d, r)
+            assert (val, arg.ell) == entropy_min_enumerated(big_d, r)
+
+    def test_large_inputs_answered(self):
+        # beyond what enumerating every composition fits in the work cap
+        for big_d, r in ((3000, 3), (300, 4)):
+            val, arg = lemma2_min_exact(big_d, r)
+            assert arg.total == big_d and arg.feasible
+            assert val == layer_entropy(arg.ell)
+            assert lemma2_min_lagrange(big_d, r).value <= val + 1e-9
+
+    def test_work_cap_refuses_at_once(self):
+        with pytest.raises(BudgetExceededError, match="work cap"):
+            lemma2_min_exact(10 ** 6, 4)
+        with pytest.raises(BudgetExceededError, match="work cap"):
+            lemma2_min_exact(40, 40)   # 2^39 profiles
+
+    @pytest.mark.parametrize("big_d,r", [(-1, 2), (4, 0)])
+    def test_invalid(self, big_d, r):
+        with pytest.raises(DomainError):
+            lemma2_min_exact(big_d, r)
+
     def test_r2_lower_bound_constant(self):
         # D log log D - c D lower bound with c <= 5 on a grid
         worst = 0.0
@@ -246,7 +287,7 @@ class TestLemma2Lagrange:
         assert 0 <= c <= 3  # p_r sits within c*loglogD of logD
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             lemma2_min_lagrange(0, 2)
 
 
@@ -307,35 +348,16 @@ class TestAks:
             aks_chi_bound(10, 20)
 
 
-class TestConjectureGap:
-    def test_k4(self):
-        rep = conjecture_gap(complete_graph(4), 1)
-        assert (rep["omega"], rep["alpha"], rep["chi"]) == (4, 1, 4)
-        assert rep["ratio"] == pytest.approx(1.0)
-        assert rep["omega_exact"] and rep["alpha_exact"] and rep["chi_exact"]
-
-    def test_c5_r2(self):
-        rep = conjecture_gap(cycle_graph(5), 2)
-        assert (rep["omega"], rep["alpha"], rep["chi"]) == (5, 1, 5)
-        assert rep["ratio"] == pytest.approx(1.0)
-
-    def test_c9_r2(self):
-        rep = conjecture_gap(cycle_graph(9), 2)
-        assert (rep["omega"], rep["alpha"], rep["chi"]) == (3, 3, 3)
-        assert rep["ratio"] == pytest.approx(1.0)
-
-    def test_budget_flags(self):
-        from graphpower import RandomSource, gnp_sample
-        g = gnp_sample(40, 0.3, RandomSource(1))
-        rep = conjecture_gap(g, 1, clique_budget=2, chi_budget=2)
-        assert not rep["omega_exact"] and not rep["chi_exact"]
-        assert rep["chi"] is not None and rep["ratio"] is not None
-
-
 class TestParamsValidation:
     def test_epsilon_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             TheoryParams(n=10, d=2.0, r=3, epsilon=0.5)  # needs eps < 1/3
+
+    @pytest.mark.parametrize("n,d,r", [(0, 2.0, 2), (10, 0.0, 2),
+                                       (10, math.nan, 2), (10, 2.0, 0)])
+    def test_outside_domain(self, n, d, r):
+        with pytest.raises(DomainError):
+            TheoryParams(n=n, d=d, r=r)
 
     def test_derived_quantities(self):
         params = TheoryParams(n=1000, d=4.0, r=2, epsilon=0.25)
