@@ -11,12 +11,12 @@ import importlib
 _EXPORTS = {
     "errors": "BudgetExceededError ConfigError DomainError ForestViolationError "
               "GraphPowerError MemoryBudgetError NoConvergenceError",
-    "graph": "Graph ball bfs_layers gnp_sample graph_power induced_subgraph "
-             "is_forest neighborhood_union read_dimacs read_edgelist "
-             "truncated_bfs write_dimacs write_edgelist",
+    "graph": "Graph ball gnp_sample graph_power induced_subgraph is_forest "
+             "neighborhood_union read_dimacs read_edgelist truncated_bfs "
+             "write_dimacs write_edgelist",
     "metrics": "PowerDegreeSummary clique_lower_bound codegree_max "
                "greedy_independent_set high_degree_set independence_number "
-               "max_clique_exact power_degree power_degrees power_max_degree "
+               "max_clique_exact power_degrees power_max_degree "
                "power_neighborhood_edge_count short_cycle_proximity",
     "coloring": "Coloring dsatur_chromatic_exact greedy_power_coloring "
                 "two_phase_power_coloring verify_proper_power_coloring",

@@ -1,6 +1,7 @@
 """Degree, clique, independence, co-degree and cycle-proximity statistics
-of G and its powers, computed implicitly (blocked numpy ball expansion for
-the degrees, truncated BFS for the rest) whenever possible.
+of G and its powers, computed implicitly (the (A+I)^r block kernel of
+:mod:`graphpower.graph` for the degrees, truncated BFS for the rest)
+whenever possible.
 
 All operations are pure functions of an immutable :class:`~graphpower.graph.Graph`.
 Ties in argmax reductions always go to the smallest vertex index.
@@ -15,15 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import Graph, ball, first_copies, truncated_bfs
+from .graph import Graph, _power_blocks, ball, truncated_bfs
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
-# keys one block expansion of power_degrees may hold (one row may pass it).
-# A 2**16-key expansion's arrays (512 KB each) stay in a 2 MB L2 cache: on
-# G(n, 2/n) it ran as fast as 2**20 and left peak RSS flat, where 2**20
-# added up to 30 MB
-POWER_KEY_BUDGET = 1 << 16
 
 
 @dataclass
@@ -40,79 +36,15 @@ class PowerDegreeSummary:
         return int(sum(self.histogram))
 
 
-def power_degree(g: Graph, v, r) -> int:
-    """Degree of v in G^r, i.e. |ball(v, r)| - 1, via truncated BFS."""
-    return len(ball(g, v, r)) - 1
-
-
-def _ball_sizes(g: Graph, r, start, stop):
-    """G^r degrees of rows start..stop-1 and the block's largest expansion,
-    or (None, size) when an expansion of a block of more than one row would
-    pass ``POWER_KEY_BUDGET`` keys.
-
-    A ball is held as sorted keys ``local_row * n + v``.  Each hop joins
-    every neighbour of the newest layer; ball keys are tagged 0 and reached
-    keys 1 in the low bit, so after one sort the first copy of each key
-    tells whether it is new.
-    """
-    n = g.n
-    indptr, indices = g.indptr, g.indices
-    rows = stop - start
-    ball = np.arange(rows, dtype=np.int64) * (n + 1) + start
-    frontier = ball
-    peak = 0
-    for _ in range(r):
-        v = frontier % n
-        lo = indptr[v]
-        cnt = indptr[v + 1] - lo
-        total = int(cnt.sum())
-        if total > POWER_KEY_BUDGET and rows > 1:
-            return None, total
-        peak = max(peak, total)
-        if total == 0:
-            break
-        # entry j, in the run of frontier entry i that starts at c_i, reads
-        # indices[lo_i + j - c_i]
-        lo -= np.cumsum(cnt) - cnt
-        reached = indices[np.arange(total) + np.repeat(lo, cnt)]
-        reached += np.repeat(frontier - v, cnt)
-        tagged = np.concatenate([ball, reached])
-        tagged <<= 1
-        tagged[ball.size:] |= 1
-        tagged.sort()
-        keys = tagged >> 1
-        first = first_copies(keys)
-        ball = keys[first]
-        first &= (tagged & 1).astype(bool)
-        frontier = keys[first]
-    return np.bincount(ball // n, minlength=rows) - 1, peak
-
-
 def power_degrees(g: Graph, r) -> list:
-    """Degrees in G^r for every vertex: the row nnz of (A+I)^r minus one.
-
-    Rows go through :func:`_ball_sizes` in blocks, in the style of
-    Gustavson's row-wise sparse product (ACM TOMS 4(3), 1978); the power is
-    never held whole.  A block at most doubles the last one and is capped
-    by the budget over the last block's largest expansion per row; a block
-    whose expansion would pass the budget is halved and redone, down to one
-    row.
-    """
-    n = g.n
+    """Degrees in G^r for every vertex: the row nnz of (A+I)^r minus one,
+    counted block by block from the power kernel; the power is never held
+    whole."""
     if r == 1:
         return g.degrees().tolist()
-    degs = np.empty(n, dtype=np.int64)
-    start, rows = 0, 1
-    while start < n:
-        stop = min(n, start + rows)
-        sizes, peak = _ball_sizes(g, r, start, stop)
-        if sizes is None:
-            rows = (stop - start) // 2
-            continue
-        degs[start:stop] = sizes
-        done = stop - start
-        rows = min(2 * done, max(1, POWER_KEY_BUDGET * done // max(peak, 1)))
-        start = stop
+    degs = np.empty(g.n, dtype=np.int64)
+    for start, stop, keys in _power_blocks(g, r):
+        degs[start:stop] = np.bincount(keys // g.n, minlength=stop - start) - 1
     return degs.tolist()
 
 

@@ -90,6 +90,8 @@ def iterated_log(x: float, k: int) -> float:
     """Natural log applied k times; k = 0 returns x."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
+    if x != x:
+        raise DomainError("iterated log undefined at NaN")
     for _ in range(k):
         if x <= 0:
             raise DomainError(f"iterated log undefined: intermediate {x} <= 0")
@@ -126,7 +128,8 @@ def log_u(ell, d) -> float:
     ells = profile.ell
     big_d = profile.total
     if big_d == 0:
-        return -d  # all layers empty: Poisson mass at zero
+        # all layers empty: Poisson mass at zero, or weight 1 when r = 0
+        return -d if ells else 0.0
     if d == 0:
         return float("-inf")  # d^D = 0: no neighbours at all
     out = big_d * math.log(d) - d * (1 + big_d - ells[-1])
@@ -402,4 +405,6 @@ def aks_chi_bound(delta, t, c=1.0) -> float:
     """
     if not 2 <= t <= delta:
         raise DomainError("require 2 <= t <= delta")
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError(f"c must be finite and > 0, got {c}")
     return c * delta / math.log(t)

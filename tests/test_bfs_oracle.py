@@ -1,5 +1,6 @@
-"""The truncated-BFS kernel and everything built on it, and the blocked
-G^r-degree kernel, against networkx and the explicit power.
+"""The truncated-BFS kernel and everything built on it, and the (A+I)^r
+block kernel behind ``power_degrees`` and ``graph_power``, against networkx
+and the scipy product in ``power_oracle``.
 
 networkx's ``single_source_shortest_path_length`` returns its distances in
 BFS visit order.  Edges are added to the networkx graph in sorted order, so
@@ -10,16 +11,19 @@ the two searches visit vertices in the same order.
 import json
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpower import (Coloring, Graph, ball, bfs_layers, gnp_sample,
+from graphpower import (Coloring, Graph, ball, gnp_sample, graph,
                         graph_power, greedy_power_coloring, metrics,
                         neighborhood_union, power_degrees, truncated_bfs,
                         verify_proper_power_coloring)
 from graphpower.coloring import greedy_coloring_explicit
 from graphpower.rng import RandomSource
+
+from power_oracle import scipy_power
 
 SETTINGS = settings(max_examples=150, deadline=None)
 radii = st.integers(0, 4)
@@ -54,9 +58,10 @@ def test_ball_and_layers(data, g, r):
     v = data.draw(vertex(g))
     dist = distances(g, v, r)
     assert ball(g, v, r) == sorted(dist)
-    if r >= 1:
-        assert bfs_layers(g, v, r) == tuple(
-            sum(1 for d in dist.values() if d == i) for i in range(1, r + 1))
+    layers = next(truncated_bfs(g, r, [(v,)]))
+    assert [len(layer) for layer in layers] == [
+        sum(1 for d in dist.values() if d == i)
+        for i in range(1, max(dist.values()) + 1)]
 
 
 @SETTINGS
@@ -103,35 +108,67 @@ def test_power_degrees_dense(n, p, r, seed):
     # at r >= 3 the path counts of (A+I)^r pass 255, so a product that
     # wrapped a narrow entry to 0 would drop a pair
     g = gnp_sample(n, p, RandomSource(seed))
-    assert power_degrees(g, r) == graph_power(g, r).degrees().tolist()
+    assert power_degrees(g, r) == scipy_power(g, r).degrees().tolist()
 
 
 @pytest.mark.parametrize("n", [2, 3, 60])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_power_degrees_complete(n, r):
     g = gnp_sample(n, 1.0, RandomSource(0))
-    assert power_degrees(g, r) == [n - 1] * n == graph_power(g, r).degrees().tolist()
+    assert power_degrees(g, r) == [n - 1] * n == scipy_power(g, r).degrees().tolist()
+
+
+def block_peaks(g, r):
+    """Per vertex, the keys each hop of its ball expansion joins: the summed
+    degree of the vertices at distance exactly k, for k = 0..r-1."""
+    deg = g.degrees().tolist()
+    peaks = np.zeros((g.n, r), dtype=np.int64)
+    for v, layers in enumerate(truncated_bfs(g, r - 1, zip(range(g.n)))):
+        for k, layer in enumerate([[v]] + layers):
+            peaks[v, k] = sum(deg[w] for w in layer)
+    return peaks
 
 
 def degrees_in_small_blocks(g, r, budget):
     """power_degrees under a key budget of a few keys, and its blocks as
-    (rows, peak expansion, halved)."""
-    blocks = []
-    ball_sizes = metrics._ball_sizes
+    (rows, peak expansion, sizes halved from), the peaks found by BFS."""
+    yielded = []
+    power_blocks = graph._power_blocks
 
-    def record(g, r, start, stop):
-        sizes, peak = ball_sizes(g, r, start, stop)
-        blocks.append((stop - start, peak, sizes is None))
-        return sizes, peak
+    def record(g, r):
+        for start, stop, keys in power_blocks(g, r):
+            yielded.append((start, stop))
+            yield start, stop, keys
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "POWER_KEY_BUDGET", budget)
-        mp.setattr(metrics, "_ball_sizes", record)
+        mp.setattr(graph, "POWER_KEY_BUDGET", budget)
+        mp.setattr(metrics, "_power_blocks", record)
         degs = power_degrees(g, r)
+    peaks = block_peaks(g, r)
+
+    def block_peak(start, stop):
+        return int(peaks[start:stop].sum(axis=0).max(initial=0))
+
+    # a block at most doubles the last one and is capped by budget / peak;
+    # the sizes it was halved from are the ones it tried first
+    blocks = []
+    start, rows = 0, 1
+    for got_start, stop in yielded:
+        assert got_start == start
+        size = stop - start
+        tried = [min(rows, g.n - start)]
+        while tried[-1] > size:
+            tried.append(tried[-1] // 2)
+        assert tried.pop() == size
+        assert all(block_peak(start, start + t) > budget for t in tried)
+        peak = block_peak(start, stop)
+        blocks.append((size, peak, tried))
+        rows = min(2 * size, max(1, budget * size // max(peak, 1)))
+        start = stop
+    assert start == g.n
     # a block may pass the budget only as one row; only larger ones halve
-    assert all(peak <= budget for rows, peak, halved in blocks
-               if rows > 1 and not halved)
-    assert all(rows > 1 for rows, peak, halved in blocks if halved)
+    assert all(peak <= budget for rows, peak, _ in blocks if rows > 1)
+    assert all(size > 1 for _, _, halved in blocks for size in halved)
     return degs, blocks
 
 
@@ -145,9 +182,30 @@ def test_power_degrees_in_small_blocks(g, r):
 def test_power_degrees_blocks_halve_to_single_rows():
     g = gnp_sample(300, 0.02, RandomSource(3))
     degs, blocks = degrees_in_small_blocks(g, 3, 4)
-    assert degs == graph_power(g, 3).degrees().tolist()
-    assert any(halved for _, _, halved in blocks)
-    assert sum(rows for rows, _, halved in blocks if not halved) == g.n
+    assert degs == scipy_power(g, 3).degrees().tolist()
+    assert any(halvings for _, _, halvings in blocks)
+    assert sum(rows for rows, _, _ in blocks) == g.n
+
+
+@st.composite
+def sparse_and_dense_graphs(draw):
+    n = draw(st.integers(1, 120))
+    p = draw(st.one_of(st.floats(0.5, 4.0).map(lambda d: min(1.0, d / n)),
+                       st.floats(0.3, 0.95)))
+    return gnp_sample(n, p, RandomSource(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_and_dense_graphs(), st.integers(2, 4), st.booleans())
+def test_graph_power_equals_scipy_product(g, r, three_key_budget):
+    want = scipy_power(g, r)
+    with pytest.MonkeyPatch.context() as mp:
+        if three_key_budget:
+            mp.setattr(graph, "POWER_KEY_BUDGET", 3)
+        got = graph_power(g, r)
+    assert got.indptr.dtype == got.indices.dtype == np.int64
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])

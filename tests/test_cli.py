@@ -52,6 +52,15 @@ class TestPowerAndStats:
         assert code == 0
         assert read_edgelist(out).m == rep["m"]
 
+    def test_power_over_edge_cap_exit_1(self, graph_file, tmp_path, capsys):
+        out = tmp_path / "g2.txt"
+        assert main(["power", "--in", graph_file, "--r", "2",
+                     "--edge-cap", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_stats(self, graph_file, capsys):
         code, rep = run(capsys, "stats", "--in", graph_file, "--r", "2",
                         "--codegree", "--cycle-s", "1", "--cycle-t", "4")
@@ -90,6 +99,13 @@ class TestEval:
     def test_u_value(self, capsys):
         code, rep = run(capsys, "eval", "u-value", "ell=1,1", "d=1")
         assert rep["value"] == pytest.approx(math.exp(-2))
+
+    @pytest.mark.parametrize("formula,value", [("u-value", 1.0),
+                                               ("log-u", 0.0)])
+    def test_empty_profile_has_weight_one(self, capsys, formula, value):
+        # r = 0: the only layer is l_0 = 1, so the profile is certain
+        code, rep = run(capsys, "eval", formula, "ell=", "d=2")
+        assert code == 0 and rep["value"] == value
 
     def test_aks(self, capsys):
         code, rep = run(capsys, "eval", "aks-bound", "delta=10000", "t=100")
@@ -148,6 +164,10 @@ class TestEval:
         ["iterated-log", "x=2", "k=-1"],
         ["log-u", "ell=1", "d=nan"],
         ["u-value", "ell=1", "d=inf"],
+        ["iterated-log", "x=nan", "k=2"],
+        ["iterated-log", "x=nan", "k=0"],
+        ["aks-bound", "delta=100", "t=10", "c=nan"],
+        ["aks-bound", "delta=100", "t=10", "c=-1"],
     ])
     def test_outside_domain_exit_1(self, capsys, argv):
         assert main(["eval", *argv]) == 1

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpower import (Graph, MemoryBudgetError, RandomSource, ball,
-                        bfs_layers, gnp_sample, graph_power, induced_subgraph,
-                        is_forest, neighborhood_union, read_dimacs,
-                        read_edgelist, write_dimacs, write_edgelist)
+                        gnp_sample, graph_power, induced_subgraph, is_forest,
+                        neighborhood_union, power_degrees, read_dimacs,
+                        read_edgelist, truncated_bfs, write_dimacs,
+                        write_edgelist)
 from graphpower.graph import connected_components
 
 
@@ -135,6 +136,16 @@ class TestGraphPower:
         with pytest.raises(MemoryBudgetError):
             graph_power(cycle_graph(30), 10, edge_cap=10)
 
+    @pytest.mark.parametrize("n,p,r", [(40, 0.05, 2), (60, 0.04, 3),
+                                       (30, 0.4, 2), (12, 1.0, 2)])
+    def test_edge_cap_boundary(self, n, p, r):
+        for seed in range(3):
+            g = gnp_sample(n, p, RandomSource(seed))
+            m = graph_power(g, r).m
+            assert graph_power(g, r, edge_cap=m).m == m
+            with pytest.raises(MemoryBudgetError):
+                graph_power(g, r, edge_cap=m - 1)
+
     def test_power_matches_pairwise_bfs(self):
         g = gnp_sample(60, 0.06, RandomSource(11))
         for r in (2, 3):
@@ -155,23 +166,29 @@ class TestGraphPower:
         assert e1 <= e2
 
 
+def layer_sizes(g, v, r):
+    return [len(layer) for layer in next(truncated_bfs(g, r, [(v,)]))]
+
+
 class TestBFS:
     def test_star_center(self):
-        assert bfs_layers(star_graph(4), 0, 2) == (4, 0)
+        # the search stops at the first empty layer
+        assert layer_sizes(star_graph(4), 0, 2) == [4]
 
     def test_path_end(self):
-        assert bfs_layers(path_graph(5), 0, 3) == (1, 1, 1)
+        assert layer_sizes(path_graph(5), 0, 3) == [1, 1, 1]
 
     def test_isolated(self):
         g = Graph.from_edges(1, [])
-        assert bfs_layers(g, 0, 3) == (0, 0, 0)
+        assert layer_sizes(g, 0, 3) == []
 
     def test_layers_sum_component_size(self):
         g = gnp_sample(80, 0.03, RandomSource(5))
         labels, _ = connected_components(g)
-        for v in range(g.n):
-            comp = sum(1 for x in labels if x == labels[v])
-            assert sum(bfs_layers(g, v, g.n)) + 1 == comp
+        comps = [labels.count(x) for x in labels]
+        assert [sum(layer_sizes(g, v, g.n)) + 1 for v in range(g.n)] == comps
+        assert [len(ball(g, v, g.n)) for v in range(g.n)] == comps
+        assert [d + 1 for d in power_degrees(g, g.n)] == comps
 
     def test_ball_examples(self):
         assert ball(star_graph(3), 0, 1) == [0, 1, 2, 3]

@@ -3,9 +3,9 @@ import pytest
 from graphpower import (BudgetExceededError, Graph, RandomSource,
                         clique_lower_bound, codegree_max, gnp_sample,
                         graph_power, greedy_independent_set, high_degree_set,
-                        independence_number, max_clique_exact, power_degree,
-                        power_degrees, power_max_degree,
-                        power_neighborhood_edge_count, short_cycle_proximity)
+                        independence_number, max_clique_exact, power_degrees,
+                        power_max_degree, power_neighborhood_edge_count,
+                        short_cycle_proximity)
 from graphpower.coloring import dsatur_chromatic_exact, greedy_coloring_explicit
 
 from test_graph import complete_graph, cycle_graph, path_graph, star_graph
@@ -20,13 +20,13 @@ def petersen():
 
 class TestPowerDegrees:
     def test_p5_middle(self):
-        assert power_degree(path_graph(5), 2, 2) == 4
+        assert power_degrees(path_graph(5), 2) == [2, 3, 4, 3, 2]
 
     def test_complete(self):
-        assert power_degree(complete_graph(6), 3, 4) == 5
+        assert power_degrees(complete_graph(6), 4) == [5] * 6
 
     def test_edgeless(self):
-        assert power_degree(Graph.from_edges(4, []), 0, 2) == 0
+        assert power_degrees(Graph.from_edges(4, []), 2) == [0] * 4
 
     def test_max_degree_p5(self):
         s = power_max_degree(path_graph(5), 2)

@@ -3,9 +3,10 @@
 Invariants must raise real errors: an ``assert`` vanishes under
 ``python -O``, so none may appear in ``src/graphpower``.  The closed-form
 evaluators raise only the package's own error types, which the CLI maps to
-exit codes; a bare ``ValueError`` there would end in a traceback.  The sparse
-implicit trials must not import scipy, whose import alone costs about as
-much set-up time and memory as a trial.
+exit codes; a bare ``ValueError`` there would end in a traceback.  The
+package needs numpy alone at run time: no module imports scipy, and no
+trial kind or ``graphpower power`` call loads it, since its import alone
+costs about as much set-up time and memory as a trial.
 """
 
 import ast
@@ -30,6 +31,21 @@ def test_no_assert_in_package():
     assert not found, f"assert statements in the package: {', '.join(found)}"
 
 
+def test_no_scipy_import_in_package():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imported by the package: {', '.join(found)}"
+
+
 def test_theory_raises_only_package_errors():
     own = {name for name, obj in vars(errors).items()
            if isinstance(obj, type) and issubclass(obj, errors.GraphPowerError)}
@@ -45,19 +61,28 @@ def test_theory_raises_only_package_errors():
     assert not found, f"non-package errors raised: {', '.join(found)}"
 
 
-SPARSE_TRIALS = """
-import sys
-from graphpower.experiments import ExperimentConfig, run_single_trial
-for kind, n, r in (("delta-concentration", 2000, 2), ("degree-pmf", 2000, 3)):
-    run_single_trial(ExperimentConfig(kind=kind, n=n, d=2.0, r=r, seed=1), 0)
-print("scipy" in sys.modules)
+NO_SCIPY = """
+import contextlib, io, os, sys, tempfile
+from graphpower.cli import main
+from graphpower.experiments import KINDS, ExperimentConfig, run_single_trial
+trials = (("delta-concentration", 2000, 2.0, 2), ("degree-pmf", 2000, 2.0, 3),
+          ("chi2-equality", 300, 2.0, 2), ("chi-sandwich", 300, 2.0, 3),
+          ("clique-sandwich", 150, 2.0, 3), ("dense-chi", 200, 20.0, 2))
+for kind, n, d, r in trials:
+    run_single_trial(ExperimentConfig(kind=kind, n=n, d=d, r=r, seed=1), 0)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    g, g2 = os.path.join(tmp, "g.txt"), os.path.join(tmp, "g2.txt")
+    codes = [main(["sample", "--n", "200", "--d", "3", "--out", g]),
+             main(["power", "--in", g, "--r", "3", "--out", g2])]
+print(sorted(kind for kind, *_ in trials) == sorted(KINDS), codes == [0, 0],
+      "scipy" in sys.modules)
 """
 
 
-def test_sparse_trials_do_not_import_scipy():
+def test_no_trial_kind_or_power_command_imports_scipy():
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", SPARSE_TRIALS], env=env,
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["True", "True", "False"]

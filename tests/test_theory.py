@@ -51,6 +51,9 @@ class TestIteratedLog:
             iterated_log(1.0, 2)  # log(1) = 0, second log undefined
         with pytest.raises(DomainError, match="k must be >= 0"):
             iterated_log(2.0, -1)
+        for k in (0, 2):
+            with pytest.raises(DomainError, match="NaN"):
+                iterated_log(math.nan, k)
 
 
 class TestDStar:
@@ -72,6 +75,12 @@ class TestDStar:
 class TestLayerWeight:
     def test_zero_profile(self):
         assert u_value((0,), 1.0) == pytest.approx(math.exp(-1))
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 2.0, 30.0, 700.0])
+    def test_empty_profile_matches_pmf(self, d):
+        # r = 0 leaves only l_0 = 1: degree 0 with certainty
+        assert u_value((), d) == degree_pmf(d, 0, 0)[0] == 1.0
+        assert log_u((), d) == 0.0
 
     def test_poisson_reduction(self):
         for d in (0.5, 1.0, 2.0, 5.0):
@@ -346,6 +355,9 @@ class TestAks:
             aks_chi_bound(10, 1.5)
         with pytest.raises(DomainError):
             aks_chi_bound(10, 20)
+        for c in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError, match="c must be"):
+                aks_chi_bound(100, 10, c=c)
 
 
 class TestParamsValidation:
