@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
 from .graph import (Graph, connected_components, induced_subgraph, is_forest,
                     neighborhood_union, truncated_bfs)
@@ -68,16 +70,22 @@ def greedy_power_coloring(g: Graph, r, order=None) -> Coloring:
 
 
 def greedy_coloring_explicit(gp: Graph, order=None, radius=1) -> Coloring:
-    """Greedy coloring of an explicit graph (e.g. a materialized power)."""
+    """Greedy coloring of an explicit graph (e.g. a materialized power).
+
+    Runs on the CSR arrays and builds no adjacency lists: a vertex's color
+    is the first zero of the counts of its neighbours' colors shifted by
+    one (uncolored neighbours hold -1 and land in the dropped slot 0), the
+    same smallest absent color as :func:`_mex`.
+    """
     n = gp.n
     if order is None:
         order = range(n)
-    adj = gp.adjacency_lists()
-    colors = [-1] * n
+    indptr, indices = gp.indptr.tolist(), gp.indices
+    colors = np.full(n, -1, dtype=np.int64)
     for v in order:
-        used = {colors[w] for w in adj[v] if colors[w] >= 0}
-        colors[v] = _mex(used)
-    return Coloring(colors, max(colors) + 1 if n else 0, radius)
+        row = colors[indices[indptr[v]:indptr[v + 1]]]
+        colors[v] = np.bincount(row + 1, minlength=row.size + 2)[1:].argmin()
+    return Coloring(colors.tolist(), int(colors.max()) + 1 if n else 0, radius)
 
 
 def dsatur_greedy(gp: Graph) -> Coloring:
@@ -269,13 +277,16 @@ def write_coloring(coloring: Coloring, path):
 
 
 def read_coloring(path) -> Coloring:
+    """Inverse of :func:`write_coloring`; ValueError on a malformed file."""
     palette = radius = None
     assignments = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts:
+            if not parts or parts[0] not in ("s", "c"):
                 continue
+            if len(parts) < 3:
+                raise ValueError(f"line {lineno}: too few fields in {line.strip()!r}")
             if parts[0] == "s":
                 palette, radius = int(parts[1]), int(parts[2])
             elif parts[0] == "c":

@@ -66,8 +66,13 @@ class Graph:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        if n * n > np.iinfo(np.int64).max:
+            raise ValueError(f"n = {n} is too large: pair keys would overflow int64")
+        try:
+            arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                             dtype=np.int64)
+        except OverflowError:
+            raise ValueError("edge endpoint out of range") from None
         if arr.size == 0:
             return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
                        validate=False)
@@ -86,15 +91,14 @@ class Graph:
 
     @classmethod
     def _from_half_edges(cls, n, u, v):
-        """CSR from deduplicated i<j half edges."""
-        heads = np.concatenate([u, v])
-        tails = np.concatenate([v, u])
-        order = np.lexsort((tails, heads))
-        heads = heads[order]
-        tails = tails[order]
+        """CSR from deduplicated i<j half edges, by one sort of the keys
+        head * n + tail of both orientations."""
+        n64 = np.int64(n)
+        keys = np.concatenate([u * n64 + v, v * n64 + u])
+        keys.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-        return cls(n, indptr, tails, validate=False)
+        np.cumsum(np.bincount(keys // n64, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n64, validate=False)
 
     def _validate(self):
         if self.indptr.shape != (self.n + 1,) or self.indptr[0] != 0:
@@ -222,6 +226,18 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
 # -- powers and BFS --------------------------------------------------------
 
 
+def _gather_rows(g: Graph, rows, cnt):
+    """The adjacency rows of the vertices ``rows`` (an int64 array),
+    concatenated in order, given their lengths ``cnt``.
+
+    Entry j of the run of row i, which starts at c_i = cnt[:i].sum(), reads
+    ``indices[indptr[rows[i]] + j - c_i]``: one ``np.repeat`` of the row
+    offsets, with no Python loop.
+    """
+    offsets = g.indptr[rows] - (np.cumsum(cnt) - cnt)
+    return g.indices[np.arange(cnt.sum()) + np.repeat(offsets, cnt)]
+
+
 def _power_blocks(g: Graph, r):
     """The rows of (A+I)^r, a block at a time: yields (start, stop, keys),
     where ``keys`` holds, sorted, ``local_row * n + v`` for every v within
@@ -237,7 +253,7 @@ def _power_blocks(g: Graph, r):
     redone, down to one row.
     """
     n = g.n
-    indptr, indices = g.indptr, g.indices
+    indptr = g.indptr
     start, rows = 0, 1
     while start < n:
         stop = min(n, start + rows)
@@ -247,16 +263,12 @@ def _power_blocks(g: Graph, r):
         peak = 0
         for _ in range(r):
             v = frontier % n
-            lo = indptr[v]
-            cnt = indptr[v + 1] - lo
+            cnt = indptr[v + 1] - indptr[v]
             total = int(cnt.sum())
             peak = max(peak, total)
             if total == 0 or (peak > POWER_KEY_BUDGET and rows > 1):
                 break
-            # entry j, in the run of frontier entry i that starts at c_i,
-            # reads indices[lo_i + j - c_i]
-            lo -= np.cumsum(cnt) - cnt
-            reached = indices[np.arange(total) + np.repeat(lo, cnt)]
+            reached = _gather_rows(g, v, cnt)
             reached += np.repeat(frontier - v, cnt)
             tagged = np.concatenate([balls, reached])
             tagged <<= 1

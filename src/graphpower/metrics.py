@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import Graph, _power_blocks, ball, truncated_bfs
+from .graph import (Graph, _gather_rows, _power_blocks, ball, first_copies,
+                    truncated_bfs)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -156,12 +157,16 @@ def greedy_independent_set(g: Graph) -> list:
     on ties) and deletes it and its neighbours.  A lazy heap holds one
     current (degree, vertex) entry per alive vertex: each pick pushes one
     entry per distinct vertex whose alive-degree it lowered, and stale
-    entries are skipped on pop.
+    entries are skipped on pop.  Runs on the CSR arrays and builds no
+    adjacency lists: a pick gathers the rows of the neighbours it deletes in
+    one go, subtracts one per alive vertex they reach, and finds the
+    distinct ones by a sort.
     """
-    adj = g.adjacency_lists()
-    deg = g.degrees().tolist()
-    alive = [True] * g.n
-    heap = list(zip(deg, range(g.n)))
+    indptr, indices = g.indptr.tolist(), g.indices
+    width = g.degrees()
+    deg = width.copy()
+    alive = np.ones(g.n, dtype=bool)
+    heap = list(zip(deg.tolist(), range(g.n)))
     heapq.heapify(heap)
     chosen = []
     while heap:
@@ -169,17 +174,17 @@ def greedy_independent_set(g: Graph) -> list:
         if not alive[v] or d != deg[v]:
             continue
         chosen.append(v)
-        kill = [v] + [w for w in adj[v] if alive[w]]
-        for w in kill:
-            alive[w] = False
-        touched = set()
-        for w in kill:
-            for x in adj[w]:
-                if alive[x]:
-                    deg[x] -= 1
-                    touched.add(x)
-        for x in touched:
-            heapq.heappush(heap, (deg[x], x))
+        alive[v] = False
+        row = indices[indptr[v]:indptr[v + 1]]
+        kill = row[alive[row]]
+        alive[kill] = False
+        reached = _gather_rows(g, kill, width[kill])
+        reached = reached[alive[reached]]
+        np.subtract.at(deg, reached, 1)
+        reached.sort()
+        touched = reached[first_copies(reached)]
+        for x, dx in zip(touched.tolist(), deg[touched].tolist()):
+            heapq.heappush(heap, (dx, x))
     return sorted(chosen)
 
 

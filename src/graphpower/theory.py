@@ -381,6 +381,8 @@ def janson_k0(params: TheoryParams) -> float:
 
 def janson_mu(params: TheoryParams, k) -> float:
     """Expected path count C(k,2) C(n-2, r-1) p^r, evaluated in log space."""
+    if not k >= 0:
+        raise DomainError(f"k must be >= 0, got {k}")
     if k < 2:
         return 0.0
     n, r = params.n, params.r
@@ -403,8 +405,8 @@ def aks_chi_bound(delta, t, c=1.0) -> float:
     The leading constant is taken as an explicit input (default 1): only the
     bound is evaluated here, never the coloring procedure behind it.
     """
-    if not 2 <= t <= delta:
-        raise DomainError("require 2 <= t <= delta")
+    if not (math.isfinite(delta) and 2 <= t <= delta):
+        raise DomainError("require 2 <= t <= delta < inf")
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"c must be finite and > 0, got {c}")
     return c * delta / math.log(t)

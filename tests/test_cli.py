@@ -175,6 +175,22 @@ class TestEval:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [["delta=inf", "t=10"],
+                                      ["delta=inf", "t=inf"],
+                                      ["delta=100", "t=inf"]])
+    def test_aks_bound_infinite_exit_1(self, capsys, argv):
+        assert main(["eval", "aks-bound", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert "2 <= t <= delta < inf" in captured.err
+
+    def test_janson_mu_negative_k_exit_1(self, capsys):
+        argv = ["janson-mu", "n=1000", "d=10", "r=1", "epsilon=0.5", "k=-3"]
+        assert main(["eval", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: k must be >= 0, got -3\n"
+        assert captured.out == ""
+
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.txt"
         batch.write_text("# two evaluations\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from graphpower import (ConfigError, DomainError, ExperimentConfig,
+from graphpower import (ConfigError, DomainError, ExperimentConfig, Graph,
                         TrialRecord, d_star, derive_seed, emit,
                         parse_config_file, read_records, run_experiment,
                         verify_theorem)
@@ -181,6 +181,14 @@ class TestRunExperiment:
         cfg = make_cfg(kind="dense-chi", n=300, d=20.0, trials=2)
         summary, _ = run_experiment(cfg)
         assert summary["ordering_rate"] == 1.0
+
+    def test_dense_chi_builds_no_adjacency_lists(self, monkeypatch):
+        def no_lists(g):
+            raise AssertionError("adjacency lists built")
+
+        monkeypatch.setattr(Graph, "adjacency_lists", no_lists)
+        rec = run_single_trial(make_cfg(kind="dense-chi", n=200, d=15.0), 0)
+        assert rec.values["ordering_ok"] and rec.values["palette"] > 0
 
     def test_measure_z(self):
         cfg = make_cfg(measure_z=True, n=100, d=3.0, trials=2)

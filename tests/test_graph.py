@@ -54,6 +54,45 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(2, np.array([0, 1, 1]), np.array([1]))  # asymmetric
 
+    @staticmethod
+    def lexsort_csr(n, u, v):
+        # the construction by np.lexsort that the keyed sort replaced
+        heads = np.concatenate([u, v])
+        tails = np.concatenate([v, u])
+        order = np.lexsort((tails, heads))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads[order], minlength=n), out=indptr[1:])
+        return indptr, tails[order]
+
+    def assert_matches_lexsort(self, n, u, v):
+        g = Graph._from_half_edges(n, u, v)
+        indptr, indices = self.lexsort_csr(n, u, v)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        g._validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1), st.floats(0, 1))
+    def test_half_edges_match_lexsort(self, n, seed, density):
+        rng = np.random.default_rng(seed)
+        total = n * (n - 1) // 2
+        u, v = np.triu_indices(n, k=1)
+        pick = rng.choice(total, size=int(density * total), replace=False)
+        self.assert_matches_lexsort(n, u[pick].astype(np.int64),
+                                    v[pick].astype(np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 300])
+    def test_complete_and_empty_match_lexsort(self, n):
+        u, v = (a.astype(np.int64) for a in np.triu_indices(n, k=1))
+        self.assert_matches_lexsort(n, u, v)
+        g = gnp_sample(n, 1.0, RandomSource(0))
+        assert g.m == n * (n - 1) // 2
+        assert np.array_equal(g.indices, self.lexsort_csr(n, u, v)[1])
+        empty = np.empty(0, dtype=np.int64)
+        self.assert_matches_lexsort(n, empty, empty)
+        assert Graph.from_edges(n, []).indptr.tolist() == [0] * (n + 1)
+
     def test_edge_array_sorted(self):
         g = complete_graph(4)
         assert g.edge_array().tolist() == [[0, 1], [0, 2], [0, 3],

@@ -1,11 +1,13 @@
-"""The min-degree greedy independent set against a frozen reference and
+"""The min-degree greedy independent set against two frozen references and
 networkx.
 
-``reference_independent_set`` is the earlier implementation, kept verbatim
-apart from its name: it copies every row into a set and pushes one
-lazy-heap entry per degree decrement.  The rule it implements (least
-alive-degree, smallest index on ties, delete the pick and its neighbours)
-fixes the output, so the current function must return the same list.
+``reference_independent_set`` and ``list_independent_set`` are earlier
+implementations, kept verbatim apart from their names.  The first copies
+every row into a set and pushes one lazy-heap entry per degree decrement;
+the second walks the adjacency lists and pushes one entry per touched
+vertex.  The rule they implement (least alive-degree, smallest index on
+ties, delete the pick and its neighbours) fixes the output, so the current
+function, which runs on the CSR arrays, must return the same list.
 """
 
 import heapq
@@ -44,6 +46,32 @@ def reference_independent_set(g: Graph) -> list:
     return sorted(chosen)
 
 
+def list_independent_set(g: Graph) -> list:
+    adj = g.adjacency_lists()
+    deg = g.degrees().tolist()
+    alive = [True] * g.n
+    heap = list(zip(deg, range(g.n)))
+    heapq.heapify(heap)
+    chosen = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != deg[v]:
+            continue
+        chosen.append(v)
+        kill = [v] + [w for w in adj[v] if alive[w]]
+        for w in kill:
+            alive[w] = False
+        touched = set()
+        for w in kill:
+            for x in adj[w]:
+                if alive[x]:
+                    deg[x] -= 1
+                    touched.add(x)
+        for x in touched:
+            heapq.heappush(heap, (deg[x], x))
+    return sorted(chosen)
+
+
 @st.composite
 def gnp_graphs(draw):
     n = draw(st.integers(0, 120))
@@ -63,7 +91,9 @@ def nx_graph(g):
 @given(gnp_graphs(), st.sampled_from([1, 2]))
 def test_matches_frozen_reference(g, r):
     gp = graph_power(g, r) if r > 1 else g
-    assert greedy_independent_set(gp) == reference_independent_set(gp)
+    chosen = greedy_independent_set(gp)
+    assert chosen == reference_independent_set(gp) == list_independent_set(gp)
+    assert all(type(v) is int for v in chosen)
 
 
 @SETTINGS

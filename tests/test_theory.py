@@ -325,6 +325,12 @@ class TestJanson:
         assert janson_mu(params, 0) == 0.0
         assert janson_mu(params, 1) == 0.0
 
+    def test_mu_domain(self):
+        params = TheoryParams(n=500, d=3.0, r=1, epsilon=0.5)
+        for k in (-1, -3, math.nan):
+            with pytest.raises(DomainError, match="k must be"):
+                janson_mu(params, k)
+
     def test_mu_example(self):
         params = TheoryParams(n=1000, d=10.0, r=1, epsilon=0.5)
         assert janson_mu(params, 100) == pytest.approx(49.5, rel=1e-9)
@@ -355,6 +361,10 @@ class TestAks:
             aks_chi_bound(10, 1.5)
         with pytest.raises(DomainError):
             aks_chi_bound(10, 20)
+        for delta, t in ((math.inf, 10), (math.inf, math.inf), (100, math.inf),
+                         (100, -math.inf), (-math.inf, 10)):
+            with pytest.raises(DomainError):
+                aks_chi_bound(delta, t)
         for c in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(DomainError, match="c must be"):
                 aks_chi_bound(100, 10, c=c)
