@@ -30,6 +30,12 @@ def _write_graph(g, path):
     (write_dimacs if path.endswith(".col") else write_edgelist)(g, path)
 
 
+def _require(ok, message):
+    """Refuse an out-of-range flag value as a config error (exit 2)."""
+    if not ok:
+        raise ConfigError(message)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphpower",
@@ -85,9 +91,7 @@ def build_parser():
 
     p_verify = subs.add_parser("verify-theorem",
                                help="run a verification campaign with gates")
-    p_verify.add_argument("kind",
-                          choices=["th1", "th2", "th3", "th4", "lemma-clique",
-                                   "degree-pmf"])
+    p_verify.add_argument("kind", choices=list(experiments._VERIFIERS))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--trials", type=int, default=None)
@@ -122,6 +126,9 @@ def _eval_formula(formula, params):
         key, val = item.split("=", 1)
         kv[key] = val
     casters = dict(_FORMULAS[formula])
+    for key in kv:
+        _require(key in casters, f"{formula} does not take {key}=...; it takes "
+                                 f"{', '.join(casters)}")
 
     def arg(name, default=None):
         if name not in kv:
@@ -174,7 +181,14 @@ def _eval_formula(formula, params):
 def _cmd_sample(args):
     if (args.p is None) == (args.d is None):
         raise ConfigError("give exactly one of --p or --d")
-    p = args.p if args.p is not None else args.d / args.n
+    _require(args.n >= 0, "--n must be >= 0")
+    if args.p is None:
+        _require(args.n >= 1 and 0 <= args.d <= args.n,
+                 "--d must be in [0, --n], with --n >= 1")
+        p = args.d / args.n
+    else:
+        _require(0 <= args.p <= 1, "--p must be in [0, 1]")
+        p = args.p
     g = gnp_sample(args.n, p, RandomSource(args.seed), mode=args.mode)
     _write_graph(g, args.out)
     print(json.dumps({"n": g.n, "m": g.m, "seed": args.seed, "out": args.out}))
@@ -182,6 +196,7 @@ def _cmd_sample(args):
 
 
 def _cmd_power(args):
+    _require(args.r >= 1, "--r must be >= 1")
     g = _read_graph(args.infile)
     gp = graph_power(g, args.r, edge_cap=args.edge_cap)
     _write_graph(gp, args.out)
@@ -190,6 +205,12 @@ def _cmd_power(args):
 
 
 def _cmd_stats(args):
+    _require(args.r >= 1, "--r must be >= 1")
+    _require((args.cycle_s is None) == (args.cycle_t is None),
+             "give both --cycle-s and --cycle-t, or neither")
+    if args.cycle_s is not None:
+        _require(args.cycle_s >= 0, "--cycle-s must be >= 0")
+        _require(args.cycle_t >= 3, "--cycle-t must be >= 3")
     g = _read_graph(args.infile)
     out = {"n": g.n, "m": g.m, "r": args.r}
     for s in range(1, args.r + 1):
@@ -201,7 +222,7 @@ def _cmd_stats(args):
         layer, power = metrics.codegree_max(g, args.r)
         out["layer_codegree"] = layer
         out["power_codegree"] = power
-    if args.cycle_s is not None and args.cycle_t is not None:
+    if args.cycle_s is not None:
         out["z_proximity"] = metrics.short_cycle_proximity(
             g, args.cycle_s, args.cycle_t)
     print(json.dumps(out))
@@ -209,6 +230,9 @@ def _cmd_stats(args):
 
 
 def _cmd_color(args):
+    if args.method == "two-phase":
+        _require(args.r >= 2, "--r must be >= 2 for --method two-phase")
+    _require(args.r >= 1, "--r must be >= 1")
     g = _read_graph(args.infile)
     if args.method == "greedy":
         c = col.greedy_power_coloring(g, args.r)

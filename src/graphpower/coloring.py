@@ -31,6 +31,8 @@ class Coloring:
     radius: int
 
     def __post_init__(self):
+        if self.colors and min(self.colors) < 0:
+            raise ValueError(f"negative color {min(self.colors)}")
         used = max(self.colors) + 1 if self.colors else 0
         if self.palette_size != used:
             raise ValueError(f"palette size {self.palette_size} does not match "
@@ -214,16 +216,16 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
     colors = [-1] * n
 
     if s_set:
-        closure = neighborhood_union(g, s_set, r, include_sources=True)
-        h, index_map = induced_subgraph(g, closure)
+        # closure is sorted, so h's vertex x is closure[x]
+        closure = neighborhood_union(g, s_set, r)
+        h, _ = induced_subgraph(g, closure)
         forest, cycle = is_forest(h)
         if not forest:
-            inverse = {i: v for v, i in index_map.items()}
-            raise ForestViolationError([inverse[x] for x in cycle])
+            raise ForestViolationError([closure[x] for x in cycle])
         # phase 1: the S-vertices in BFS visit order over each tree, rooted
         # at its smallest vertex; the walk does not depend on colors.  The
-        # components are numbered in order of their smallest index, and
-        # closure is sorted, so index order = vertex order
+        # components are numbered in order of their smallest index, which
+        # is their smallest vertex
         label, _ = connected_components(h)
         roots = []
         for x, c in enumerate(label):

@@ -26,9 +26,6 @@ from .errors import (BudgetExceededError, ConfigError, DomainError,
 from .graph import ball, gnp_sample, graph_power, induced_subgraph
 from .rng import RandomSource, derive_seed
 
-KINDS = ("delta-concentration", "chi2-equality", "chi-sandwich",
-         "dense-chi", "clique-sandwich", "degree-pmf")
-
 # fields that define the experiment semantically (hashed into every record
 # file header); output routing and worker count deliberately excluded
 _HASH_FIELDS = ("kind", "n", "d", "r", "epsilon", "trials", "seed",
@@ -173,13 +170,13 @@ def _two_phase_or_greedy(cfg, g):
 
 
 def _measure_chi2(cfg, g):
-    delta1 = metrics.power_max_degree(g, 1).delta
+    top = metrics.power_max_degree(g, 1)
+    delta1 = top.delta
     c, ok = _two_phase_or_greedy(cfg, g)
     proper, _ = col.verify_proper_power_coloring(g, cfg.r, c)
     # lower-bound certificate: exact chromatic number of the square of the
     # subgraph induced by the radius-2 ball around a max-degree vertex
-    vmax = metrics.power_max_degree(g, 1).argmax
-    sub, _ = induced_subgraph(g, ball(g, vmax, 2))
+    sub, _ = induced_subgraph(g, ball(g, top.argmax, 2))
     sq = graph_power(sub, 2, edge_cap=cfg.edge_cap)
     try:
         cert, _ = col.dsatur_chromatic_exact(sq, node_budget=cfg.chi_budget)
@@ -199,12 +196,12 @@ def _measure_chi2(cfg, g):
 
 
 def _measure_chi_sandwich(cfg, g):
-    r = cfg.r
+    r = cfg.r  # >= 2, as the config requires
     deltas = {s: metrics.power_max_degree(g, s).delta
-              for s in sorted({1, r // 2, r - 1}) if s >= 1}
+              for s in sorted({1, r // 2, r - 1})}
     c, ok = _two_phase_or_greedy(cfg, g)
     proper, _ = col.verify_proper_power_coloring(g, r, c)
-    clique_lb = (deltas[r // 2] + 1) if r >= 2 else (2 if g.m else 1)
+    clique_lb = deltas[r // 2] + 1
     values = {
         **{f"delta_{s}": v for s, v in deltas.items()},
         "two_phase_ok": ok,
@@ -219,8 +216,7 @@ def _measure_chi_sandwich(cfg, g):
 
 def _measure_clique_sandwich(cfg, g):
     r = cfg.r
-    lower = metrics.power_max_degree(g, max(r // 2, 1)).delta + 1 if r >= 2 \
-        else (2 if g.m else 1)
+    lower = metrics.clique_lower_bound(g, r)
     upper = metrics.power_max_degree(g, (r + 1) // 2).delta + 1
     gp = graph_power(g, r, edge_cap=cfg.edge_cap)
     try:
@@ -274,6 +270,7 @@ _MEASURE = {
     "dense-chi": _measure_dense_chi,
     "degree-pmf": _measure_degree_pmf,
 }
+KINDS = tuple(_MEASURE)
 
 
 # -- campaign driver -------------------------------------------------------

@@ -130,9 +130,6 @@ class Graph:
     def m(self) -> int:
         return self.indices.size // 2
 
-    def degree(self, v) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -356,35 +353,25 @@ def ball(g: Graph, v, r):
     return sorted([v] + [w for layer in layers for w in layer])
 
 
-def neighborhood_union(g: Graph, s, r, include_sources=True):
-    """Union of radius-r balls around the vertices of s.
-
-    With ``include_sources`` (the default) this is the closed union
-    S ∪ N_r(S); with it off, the sources themselves are dropped.
-    """
+def neighborhood_union(g: Graph, s, r):
+    """Union of radius-r balls around the vertices of s: the closed union
+    S ∪ N_r(S), sorted."""
     reached = {w for layer in next(truncated_bfs(g, r, [s])) for w in layer}
-    return sorted(reached | set(s) if include_sources else reached)
+    return sorted(reached | set(s))
 
 
 def induced_subgraph(g: Graph, s):
     """Graph induced on vertex set s, plus the old->new index map.
 
-    New indices follow the sorted order of s.
+    New indices follow the sorted order of s.  The edges of g are relabelled
+    through one index array (-1 outside s) and kept where both ends are in s.
     """
     s = sorted(set(s))
-    index_map = {v: i for i, v in enumerate(s)}
-    ns = len(s)
-    mask = np.full(g.n, -1, dtype=np.int64)
-    for v, i in index_map.items():
-        mask[v] = i
-    edges = []
-    for v in s:
-        nv = index_map[v]
-        for w in g.neighbors(v):
-            mw = mask[w]
-            if mw > nv:
-                edges.append((nv, mw))
-    return Graph.from_edges(ns, edges), index_map
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[s] = np.arange(len(s))
+    edges = label[g.edge_array()]
+    edges = edges[(edges >= 0).all(axis=1)]
+    return Graph.from_edges(len(s), edges), {v: i for i, v in enumerate(s)}
 
 
 def connected_components(g: Graph):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +25,11 @@ DEFAULT_CYCLE_LENGTH_CAP = 16
 
 @dataclass
 class PowerDegreeSummary:
-    """Max degree of G^r with its argmax vertex and full degree histogram."""
+    """Max degree of G^r with its argmax vertex."""
 
     r: int
     delta: int
     argmax: int
-    histogram: list = field(repr=False)
-
-    @property
-    def n(self):
-        return int(sum(self.histogram))
 
 
 def power_degrees(g: Graph, r) -> list:
@@ -53,11 +48,10 @@ def power_max_degree(g: Graph, r) -> PowerDegreeSummary:
     """Exact max degree of G^r without materializing the power."""
     degs = power_degrees(g, r)
     if not degs:
-        return PowerDegreeSummary(r, 0, -1, [])
+        return PowerDegreeSummary(r, 0, -1)
     delta = max(degs)
     argmax = degs.index(delta)  # smallest index wins ties
-    hist = np.bincount(np.asarray(degs, dtype=np.int64)).tolist()
-    return PowerDegreeSummary(r, delta, argmax, hist)
+    return PowerDegreeSummary(r, delta, argmax)
 
 
 def high_degree_set(g: Graph, r, threshold) -> list:
@@ -137,14 +131,10 @@ def max_clique_exact(g: Graph, node_budget=DEFAULT_NODE_BUDGET) -> int:
     return _max_clique_bitset(g.n, _adjacency_bitsets(g), node_budget)
 
 
-def independence_number(g: Graph, mode="exact", node_budget=DEFAULT_NODE_BUDGET) -> int:
-    """Independence number, exact (clique on the implicit complement) or a
-    min-degree greedy lower bound (always valid, any size)."""
+def independence_number(g: Graph, node_budget=DEFAULT_NODE_BUDGET) -> int:
+    """Exact independence number: the clique number of the implicit
+    complement."""
     n = g.n
-    if mode == "greedy":
-        return len(greedy_independent_set(g))
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     full = (1 << n) - 1
     comp = [full ^ b ^ (1 << v) for v, b in enumerate(_adjacency_bitsets(g))]
     return _max_clique_bitset(n, comp, node_budget)
@@ -191,11 +181,11 @@ def greedy_independent_set(g: Graph) -> list:
 # -- cycle proximity -------------------------------------------------------
 
 
-def vertices_on_short_cycles(g: Graph, t, work_cap=50_000_000) -> set:
+def vertices_on_short_cycles(g: Graph, t) -> set:
     """All vertices lying on some cycle of length <= t (exact enumeration).
 
     DFS over simple paths anchored at their minimum vertex; intended for
-    small t on sparse graphs.
+    small t on sparse graphs.  Raises BudgetExceededError past 5e7 paths.
     """
     if t < 3:
         return set()
@@ -208,7 +198,7 @@ def vertices_on_short_cycles(g: Graph, t, work_cap=50_000_000) -> set:
         while stack:
             u, path, used = stack.pop()
             work += 1
-            if work > work_cap:
+            if work > 50_000_000:
                 raise BudgetExceededError("cycle enumeration work cap exceeded")
             for w in adj[u]:
                 if w == a and len(path) >= 3:
@@ -218,12 +208,13 @@ def vertices_on_short_cycles(g: Graph, t, work_cap=50_000_000) -> set:
     return on_cycle
 
 
-def short_cycle_proximity(g: Graph, s, t, max_t=DEFAULT_CYCLE_LENGTH_CAP) -> int:
+def short_cycle_proximity(g: Graph, s, t) -> int:
     """Z_{s,t}: number of vertices within distance s of a cycle of length <= t."""
     if t < 3:
         raise ValueError("t must be >= 3")
-    if t > max_t:
-        raise BudgetExceededError(f"cycle length {t} exceeds cap {max_t}")
+    if t > DEFAULT_CYCLE_LENGTH_CAP:
+        raise BudgetExceededError(
+            f"cycle length {t} exceeds cap {DEFAULT_CYCLE_LENGTH_CAP}")
     core = vertices_on_short_cycles(g, t)
     layers = next(truncated_bfs(g, s, [core]))
     return len(core) + sum(map(len, layers))

@@ -183,12 +183,7 @@ def degree_pmf(d, r, top) -> list:
 
 
 def degree_sum_pmf(d, r, big_d) -> float:
-    """Limit pmf P(D = big_d) of the G^r-degree (see ``degree_pmf``).
-
-    ``d`` may also be a TheoryParams bundle.
-    """
-    if isinstance(d, TheoryParams):
-        r, d = d.r, d.d
+    """Limit pmf P(D = big_d) of the G^r-degree (see ``degree_pmf``)."""
     return degree_pmf(d, r, big_d)[big_d] if big_d >= 0 else 0.0
 
 
@@ -321,12 +316,13 @@ def _lagrange_profile(p_r, r):
     return ratios, ell
 
 
-def lemma2_min_lagrange(big_d, r, tol=1e-10, max_iter=1000) -> LagrangeSolution:
+def lemma2_min_lagrange(big_d, r) -> LagrangeSolution:
     """Continuous layer-entropy minimum via bisection on the last ratio.
 
     The constraint sum(l_i) = D is monotone in p_r, so a bracket always
-    exists for D > 0; raises NoConvergenceError (with the bracket) if the
-    iteration cap is hit first.
+    exists for D > 0.  Bisection stops once |sum(l_i) - D| <= 1e-10;
+    raises NoConvergenceError (with the bracket) if 1000 iterations pass
+    first.
     """
     if not (math.isfinite(big_d) and big_d > 0):
         raise DomainError(f"D must be finite and > 0, got {big_d}")
@@ -342,9 +338,9 @@ def lemma2_min_lagrange(big_d, r, tol=1e-10, max_iter=1000) -> LagrangeSolution:
     while total(hi) < big_d:
         lo, hi = hi, hi * 2
         it += 1
-        if it > max_iter:
+        if it > 1000:
             raise NoConvergenceError("bracket expansion failed", bracket=(lo, hi))
-    for _ in range(max_iter):
+    for _ in range(1000):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -353,7 +349,7 @@ def lemma2_min_lagrange(big_d, r, tol=1e-10, max_iter=1000) -> LagrangeSolution:
         else:
             hi = mid
         it += 1
-        if abs(total(mid) - big_d) <= tol:
+        if abs(total(mid) - big_d) <= 1e-10:
             lo = hi = mid
             break
     p_r = 0.5 * (lo + hi)

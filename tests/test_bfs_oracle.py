@@ -90,8 +90,6 @@ def test_neighborhood_union(data, g, r):
     for v in sources:
         reached.update(distances(g, v, r))
     assert neighborhood_union(g, sources, r) == sorted(reached)
-    assert neighborhood_union(g, sources, r, include_sources=False) == sorted(
-        reached - set(sources))
 
 
 @SETTINGS

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphpower import experiments, read_edgelist, u_value
+from graphpower import (RandomSource, experiments, gnp_sample, read_edgelist,
+                        u_value, write_edgelist)
 from graphpower.cli import main
 
 from compositions import feasible_compositions
@@ -113,6 +120,18 @@ class TestEval:
 
     def test_missing_param(self, capsys):
         assert main(["eval", "d-star", "n=10"]) == 2
+
+    @pytest.mark.parametrize("argv,key", [
+        (["d-star", "n=100000", "r=2", "foo=3"], "foo="),
+        (["janson-k0", "n=1000", "d=10", "r=2", "eps=0.3"], "eps="),
+    ])
+    def test_key_the_formula_does_not_take_exit_2(self, capsys, argv, key):
+        # a misspelt epsilon would otherwise fall back to its default
+        assert main(["eval", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {argv[0]} does not "
+                                       f"take {key}")
 
     def test_degree_pmf_matches_enumeration(self, capsys):
         code, rep = run(capsys, "eval", "degree-pmf", "d=2", "r=2", "D=61")
@@ -242,6 +261,88 @@ class TestVerifyCommand:
             main(["verify-theorem", "th2", "--edge-cap", "5"])
         assert exc.value.code == 2
         assert "--edge-cap" in capsys.readouterr().err
+
+
+class TestOutOfRangeFlags:
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_edgelist(gnp_sample(60, 0.05, RandomSource(5)), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sample", "--n", "0", "--d", "2"], "--d"),
+        (["sample", "--n", "-5", "--p", "0.1"], "--n"),
+        (["sample", "--n", "10", "--p", "2"], "--p"),
+        (["sample", "--n", "10", "--d", "-1"], "--d"),
+        (["stats", "--r", "0"], "--r"),
+        (["stats", "--r", "-1"], "--r"),
+        (["stats", "--r", "2", "--cycle-s", "1", "--cycle-t", "2"], "--cycle-t"),
+        (["stats", "--r", "2", "--cycle-s", "-1", "--cycle-t", "5"], "--cycle-s"),
+        (["stats", "--r", "2", "--cycle-s", "1"], "--cycle-t"),
+        (["power", "--r", "0"], "--r"),
+        (["color", "--r", "1"], "--r"),
+        (["color", "--r", "0", "--method", "dsatur-exact"], "--r"),
+        (["color", "--r", "0", "--method", "greedy"], "--r"),
+    ])
+    def test_refused_exit_2(self, graph_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.txt"
+        files = {"sample": ["--out", str(out)],
+                 "power": ["--in", graph_file, "--out", str(out)]}
+        assert main(argv + files.get(argv[0], ["--in", graph_file])) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and not out.exists()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert flag in lines[0]
+
+
+def _flag_values(draw, flags):
+    """``--name=value`` for each (name, strategy) drawn present."""
+    return [f"--{name}={draw(values)}" for name, values in flags
+            if draw(st.booleans())]
+
+
+_INTS = st.integers(-3, 40)
+_FLOATS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1"]),
+                    st.floats(-2, 50, allow_nan=False).map(repr))
+
+
+@st.composite
+def flag_argvs(draw):
+    command = draw(st.sampled_from(["sample", "stats", "power", "color"]))
+    r = [f"--r={draw(st.integers(-3, 4))}"]
+    if command == "sample":
+        return ["sample", f"--n={draw(_INTS)}", "--out", "{dir}/s.txt",
+                *_flag_values(draw, [("p", _FLOATS), ("d", _FLOATS),
+                                     ("seed", _INTS)])]
+    if command == "stats":
+        return ["stats", "--in", "{graph}", *r,
+                *_flag_values(draw, [("cycle-s", _INTS), ("cycle-t", _INTS)]),
+                *(["--codegree"] if draw(st.booleans()) else [])]
+    if command == "power":
+        return ["power", "--in", "{graph}", *r, "--out", "{dir}/p.txt",
+                *_flag_values(draw, [("edge-cap", _INTS)])]
+    method = draw(st.sampled_from(["greedy", "two-phase", "dsatur-exact"]))
+    return ["color", "--in", "{graph}", *r, f"--method={method}",
+            *_flag_values(draw, [("chi-budget", st.integers(-3, 2000)),
+                                 ("edge-cap", _INTS)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_argvs())
+def test_numeric_flags_exit_0_to_3(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "g.txt")
+        write_edgelist(gnp_sample(12, 0.3, RandomSource(3)), graph)
+        argv = [a.format(dir=tmp, graph=graph) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error: ")
 
 
 class TestMalformedGraphFile:

@@ -130,7 +130,7 @@ class TestTwoPhase:
         # an understated Delta(G^{r-1}) puts every vertex of P5 in S and
         # leaves room for one color where three are needed
         monkeypatch.setattr(coloring, "power_max_degree",
-                            lambda g, r: PowerDegreeSummary(r, 0, 0, []))
+                            lambda g, r: PowerDegreeSummary(r, 0, 0))
         with pytest.raises(GraphPowerError, match="bound 1") as exc:
             two_phase_power_coloring(path_graph(5), 2)
         assert not isinstance(exc.value, ForestViolationError)
@@ -178,6 +178,13 @@ class TestColoringIO:
         p = tmp_path / "c.txt"
         p.write_text("s 2 1\nc 0 0\nc 2 1\n")
         with pytest.raises(ValueError, match="vertex 1"):
+            read_coloring(p)
+
+    def test_negative_color_is_value_error(self, tmp_path):
+        # the largest color alone would match the palette of 1
+        p = tmp_path / "c.txt"
+        p.write_text("s 1 1\nc 0 -1\nc 1 0\n")
+        with pytest.raises(ValueError, match="negative color -1"):
             read_coloring(p)
 
     def test_palette_mismatch_is_value_error(self):

@@ -238,8 +238,6 @@ class TestBFS:
         assert neighborhood_union(path_graph(5), [], 2) == []
         assert neighborhood_union(path_graph(5), [0], 2) == [0, 1, 2]
         assert neighborhood_union(complete_graph(4), [0], 1) == [0, 1, 2, 3]
-        assert neighborhood_union(path_graph(5), [0], 2,
-                                  include_sources=False) == [1, 2]
 
 
 class TestInducedSubgraph:

@@ -133,11 +133,6 @@ class TestPmf:
         assert degree_sum_pmf(0.0, 2, 0) == 1.0
         assert degree_sum_pmf(0.0, 2, 3) == 0.0
 
-    def test_params_bundle(self):
-        params = TheoryParams(n=10 ** 5, d=2.0, r=2)
-        assert degree_sum_pmf(params, 0, 3) == pytest.approx(
-            degree_sum_pmf(2.0, 2, 3))
-
     @pytest.mark.parametrize("d,r", [(0.5, 1), (1.0, 2), (1.2, 3), (2.0, 2),
                                      (2.0, 3), (5.0, 1), (5.0, 2), (0.7, 4)])
     def test_recursion_matches_enumeration(self, d, r):
