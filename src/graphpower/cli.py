@@ -124,6 +124,7 @@ def _eval_formula(formula, params):
         if "=" not in item:
             raise ConfigError(f"expected key=value, got {item!r}")
         key, val = item.split("=", 1)
+        _require(key not in kv, f"{formula}: {key}= is given twice")
         kv[key] = val
     casters = dict(_FORMULAS[formula])
     for key in kv:
@@ -197,6 +198,7 @@ def _cmd_sample(args):
 
 def _cmd_power(args):
     _require(args.r >= 1, "--r must be >= 1")
+    _require(args.edge_cap >= 0, "--edge-cap must be >= 0")
     g = _read_graph(args.infile)
     gp = graph_power(g, args.r, edge_cap=args.edge_cap)
     _write_graph(gp, args.out)
@@ -233,6 +235,8 @@ def _cmd_color(args):
     if args.method == "two-phase":
         _require(args.r >= 2, "--r must be >= 2 for --method two-phase")
     _require(args.r >= 1, "--r must be >= 1")
+    _require(args.edge_cap >= 0, "--edge-cap must be >= 0")
+    _require(args.chi_budget >= 0, "--chi-budget must be >= 0")
     g = _read_graph(args.infile)
     if args.method == "greedy":
         c = col.greedy_power_coloring(g, args.r)

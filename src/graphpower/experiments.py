@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ConfigError("dense-chi requires d > log n")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        for key in ("clique_budget", "chi_budget", "edge_cap"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
 
     def config_hash(self) -> str:
         text = "\n".join(f"{k}={getattr(self, k)!r}" for k in _HASH_FIELDS)

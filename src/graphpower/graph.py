@@ -25,6 +25,10 @@ UNIFORM_CHUNK = 1 << 13
 # G(n, 2/n) it ran as fast as 2**20 and left peak RSS flat, where 2**20
 # added up to 30 MB
 POWER_KEY_BUDGET = 1 << 16
+# bound on the keys local_row * n + v of one power-kernel block: below
+# 2**30, a key tagged in its low bit still fits int32, which halves the
+# bytes every sort and gather of the kernel moves
+POWER_INT32_KEYS = 1 << 30
 
 
 def first_copies(keys):
@@ -223,16 +227,16 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
 # -- powers and BFS --------------------------------------------------------
 
 
-def _gather_rows(g: Graph, rows, cnt):
-    """The adjacency rows of the vertices ``rows`` (an int64 array),
-    concatenated in order, given their lengths ``cnt``.
+def _gather_rows(indices, lo, cnt):
+    """The adjacency rows that start at offsets ``lo`` of ``indices`` and
+    run ``cnt`` entries each, concatenated in order.
 
     Entry j of the run of row i, which starts at c_i = cnt[:i].sum(), reads
-    ``indices[indptr[rows[i]] + j - c_i]``: one ``np.repeat`` of the row
-    offsets, with no Python loop.
+    ``indices[lo[i] + j - c_i]``: one ``np.repeat`` of the row offsets, with
+    no Python loop.
     """
-    offsets = g.indptr[rows] - (np.cumsum(cnt) - cnt)
-    return g.indices[np.arange(cnt.sum()) + np.repeat(offsets, cnt)]
+    offsets = lo - (np.cumsum(cnt) - cnt)
+    return indices[np.arange(cnt.sum()) + np.repeat(offsets, cnt)]
 
 
 def _power_blocks(g: Graph, r):
@@ -242,45 +246,59 @@ def _power_blocks(g: Graph, r):
 
     This is the package's one power kernel, in the style of Gustavson's
     row-wise sparse product (ACM TOMS 4(3), 1978).  Each hop joins every
-    neighbour of the newest layer; ball keys are tagged 0 and reached keys
-    1 in the low bit, so after one sort the first copy of each key tells
-    whether it is new.  A block at most doubles the last one and is capped
-    by the budget over the last block's largest expansion per row; a block
-    whose expansion would pass ``POWER_KEY_BUDGET`` keys is halved and
-    redone, down to one row.
+    neighbour of the newest layer.  On the hops before the last, ball keys
+    are tagged 0 and reached keys 1 in the low bit, so after one sort the
+    first copy of each key tells whether it is new; the last hop needs no
+    new layer and only sorts and deduplicates.  A block at most doubles the
+    last one and is capped by the budget over the last block's largest
+    expansion per row; a block whose expansion would pass
+    ``POWER_KEY_BUDGET`` keys is halved and redone, down to one row.  Keys
+    are int32 (``g.indices`` is cast once per call) and a block holds at
+    most ``POWER_INT32_KEYS // n`` rows, so tagged keys stay below 2**31;
+    only when one row cannot fit (n > ``POWER_INT32_KEYS``) are they int64.
     """
     n = g.n
     indptr = g.indptr
+    max_rows = POWER_INT32_KEYS // max(n, 1)
+    dtype = np.int32 if max_rows else np.int64
+    max_rows = max_rows or n
+    indices = g.indices.astype(dtype)
     start, rows = 0, 1
     while start < n:
         stop = min(n, start + rows)
         rows = stop - start
-        balls = np.arange(rows, dtype=np.int64) * (n + 1) + start
+        balls = np.arange(rows, dtype=dtype) * (n + 1) + start
         frontier = balls
         peak = 0
-        for _ in range(r):
+        for hop in range(1, r + 1):
             v = frontier % n
-            cnt = indptr[v + 1] - indptr[v]
+            lo = indptr[v]
+            cnt = indptr[1:][v] - lo
             total = int(cnt.sum())
             peak = max(peak, total)
             if total == 0 or (peak > POWER_KEY_BUDGET and rows > 1):
                 break
-            reached = _gather_rows(g, v, cnt)
+            reached = _gather_rows(indices, lo, cnt)
             reached += np.repeat(frontier - v, cnt)
+            # np.compress, not a boolean index: 2-4x faster on these masks
+            if hop == r:
+                keys = np.concatenate([balls, reached])
+                keys.sort()
+                balls = np.compress(first_copies(keys), keys)
+                break
             tagged = np.concatenate([balls, reached])
             tagged <<= 1
             tagged[balls.size:] |= 1
             tagged.sort()
-            keys = tagged >> 1
-            first = first_copies(keys)
-            balls = keys[first]
-            first &= (tagged & 1).astype(bool)
-            frontier = keys[first]
+            tagged = np.compress(first_copies(tagged >> 1), tagged)
+            balls = tagged >> 1
+            frontier = np.compress((tagged & 1).astype(bool), balls)
         if peak > POWER_KEY_BUDGET and rows > 1:
             rows //= 2
             continue
         yield start, stop, balls
-        rows = min(2 * rows, max(1, POWER_KEY_BUDGET * rows // max(peak, 1)))
+        rows = min(2 * rows, max(1, POWER_KEY_BUDGET * rows // max(peak, 1)),
+                   max_rows)
         start = stop
 
 
@@ -295,6 +313,8 @@ def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:
     if r < 1:
         raise ValueError("r must be >= 1")
     if r == 1:
+        if g.m > edge_cap:
+            raise MemoryBudgetError(f"explicit power exceeds edge cap {edge_cap}")
         return g
     n = g.n
     indptr = np.zeros(n + 1, dtype=np.int64)

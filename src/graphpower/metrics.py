@@ -168,7 +168,7 @@ def greedy_independent_set(g: Graph) -> list:
         row = indices[indptr[v]:indptr[v + 1]]
         kill = row[alive[row]]
         alive[kill] = False
-        reached = _gather_rows(g, kill, width[kill])
+        reached = _gather_rows(indices, g.indptr[kill], width[kill])
         reached = reached[alive[reached]]
         np.subtract.at(deg, reached, 1)
         reached.sort()

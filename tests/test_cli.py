@@ -87,6 +87,17 @@ class TestPowerAndStats:
                         "--method", "dsatur-exact")
         assert code == 0 and rep["proper"]
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--r", "1", "--edge-cap", "1"],
+        ["color", "--r", "1", "--method", "dsatur-exact", "--edge-cap", "1"],
+    ])
+    def test_r1_over_edge_cap_exit_1(self, graph_file, tmp_path, capsys, argv):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--in", graph_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: explicit power exceeds edge cap 1\n"
+
     def test_missing_file_io_error(self):
         assert main(["stats", "--in", "/nonexistent", "--r", "2"]) == 3
 
@@ -120,6 +131,12 @@ class TestEval:
 
     def test_missing_param(self, capsys):
         assert main(["eval", "d-star", "n=10"]) == 2
+
+    def test_repeated_key_exit_2(self, capsys):
+        assert main(["eval", "d-star", "n=10", "n=100000", "r=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: d-star: n= is given twice\n"
 
     @pytest.mark.parametrize("argv,key", [
         (["d-star", "n=100000", "r=2", "foo=3"], "foo="),
@@ -238,6 +255,17 @@ class TestExperimentCommand:
         cfg.write_text("kind = no-such-kind\nn = 10\nd = 1\nr = 2\n")
         assert main(["experiment", "run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key", ["edge_cap", "clique_budget", "chi_budget"])
+    def test_negative_cap_or_budget_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind = clique-sandwich\nn = 40\nd = 3\nr = 2\n"
+                       f"{key} = -1\n")
+        out = tmp_path / "rec.jsonl"
+        assert main(["experiment", "run", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"config error: {key} must be >= 0\n"
+
     def test_bad_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind = delta-concentration\nn = abc\nd = 2\nr = 2\n")
@@ -284,6 +312,14 @@ class TestOutOfRangeFlags:
         (["color", "--r", "1"], "--r"),
         (["color", "--r", "0", "--method", "dsatur-exact"], "--r"),
         (["color", "--r", "0", "--method", "greedy"], "--r"),
+        (["power", "--r", "1", "--edge-cap", "-1"], "--edge-cap"),
+        (["power", "--r", "2", "--edge-cap", "-1"], "--edge-cap"),
+        (["color", "--r", "1", "--method", "dsatur-exact", "--edge-cap", "-1"],
+         "--edge-cap"),
+        (["color", "--r", "2", "--method", "greedy", "--edge-cap", "-5"],
+         "--edge-cap"),
+        (["color", "--r", "2", "--method", "dsatur-exact", "--chi-budget", "-1"],
+         "--chi-budget"),
     ])
     def test_refused_exit_2(self, graph_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.txt"

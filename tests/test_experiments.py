@@ -66,6 +66,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_cfg(kind="dense-chi", n=1000, d=2.0)
 
+    @pytest.mark.parametrize("key", ["clique_budget", "chi_budget", "edge_cap"])
+    def test_negative_cap_or_budget_refused(self, key):
+        with pytest.raises(ConfigError, match=key):
+            make_cfg(**{key: -1})
+        assert make_cfg(**{key: 0}).config_hash() != make_cfg().config_hash()
+
+    def test_hash_of_valid_configs_is_pinned(self):
+        assert ExperimentConfig(kind="delta-concentration", n=200, d=2.0,
+                                r=2).config_hash() == "d26c5661f0a7e332"
+        assert ExperimentConfig(kind="dense-chi", n=1000, d=30.0, r=2,
+                                edge_cap=0, clique_budget=0,
+                                chi_budget=0).config_hash() == "b75324b06a0f38bb"
+
     def test_hash_ignores_routing(self):
         a = make_cfg(out="x.jsonl", workers=4)
         b = make_cfg(out=None, workers=1)

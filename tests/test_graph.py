@@ -175,6 +175,12 @@ class TestGraphPower:
         with pytest.raises(MemoryBudgetError):
             graph_power(cycle_graph(30), 10, edge_cap=10)
 
+    def test_r1_honours_edge_cap(self):
+        g = cycle_graph(30)
+        assert graph_power(g, 1, edge_cap=30) is g
+        with pytest.raises(MemoryBudgetError):
+            graph_power(g, 1, edge_cap=29)
+
     @pytest.mark.parametrize("n,p,r", [(40, 0.05, 2), (60, 0.04, 3),
                                        (30, 0.4, 2), (12, 1.0, 2)])
     def test_edge_cap_boundary(self, n, p, r):

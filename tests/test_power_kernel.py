@@ -1,0 +1,105 @@
+"""The (A+I)^r block kernel ``graph._power_blocks`` on int32 keys, against
+its int64 form frozen in ``power_oracle``: the same blocks and keys while
+the int32 row cap does not bind, the same rows when it does, and the int64
+branch when a forced bound leaves no row room."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphpower import gnp_sample, graph, graph_power, power_degrees
+from graphpower.rng import RandomSource
+
+from power_oracle import int64_power_blocks, int64_power_degrees, scipy_power
+
+INT32_MAX = np.iinfo(np.int32).max
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 150))
+    p = draw(st.one_of(st.floats(0.5, 4.0).map(lambda d: min(1.0, d / n)),
+                       st.floats(0.2, 0.9)))
+    return gnp_sample(n, p, RandomSource(draw(st.integers(0, 2 ** 32))))
+
+
+def blocks(kernel, g, r):
+    return [(start, stop, keys.tolist()) for start, stop, keys in kernel(g, r)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_graphs(), st.integers(1, 4), st.booleans())
+def test_blocks_equal_the_int64_kernel(g, r, three_key_budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if three_key_budget:
+            mp.setattr(graph, "POWER_KEY_BUDGET", 3)
+        got = list(graph._power_blocks(g, r))
+        want = blocks(int64_power_blocks, g, r)
+    assert all(keys.dtype == np.int32 for _, _, keys in got)
+    assert [(a, b, k.tolist()) for a, b, k in got] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(), st.integers(2, 4), st.integers(1, 6))
+def test_row_cap_keeps_keys_under_the_bound(g, r, cap):
+    """A bound of ``cap * n`` makes the row cap bind on small graphs: no
+    block holds more rows or reaches a key past it, and the rows are the
+    int64 kernel's."""
+    limit = cap * g.n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "POWER_INT32_KEYS", limit)
+        got = list(graph._power_blocks(g, r))
+        degs = power_degrees(g, r)
+        power = graph_power(g, r)
+    assert all(stop - start <= cap for start, stop, _ in got)
+    assert all(keys.max() < limit for _, _, keys in got)
+    rows = [(start + local, key % g.n) for start, _, keys in got
+            for local, key in zip((keys // g.n).tolist(), keys.tolist())]
+    want = [(start + key // g.n, key % g.n)
+            for start, _, keys in int64_power_blocks(g, r)
+            for key in keys.tolist()]
+    assert rows == want
+    assert degs == int64_power_degrees(g, r)
+    oracle = scipy_power(g, r)
+    assert np.array_equal(power.indptr, oracle.indptr)
+    assert np.array_equal(power.indices, oracle.indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(), st.integers(1, 4), st.booleans())
+def test_forced_int64_branch_is_the_int64_kernel(g, r, three_key_budget):
+    """A bound that leaves no room for one row (n > bound) sends the kernel
+    to int64 keys with no row cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "POWER_INT32_KEYS", g.n - 1)
+        if three_key_budget:
+            mp.setattr(graph, "POWER_KEY_BUDGET", 3)
+        got = list(graph._power_blocks(g, r))
+        degs = power_degrees(g, r)
+        power = graph_power(g, r)
+        want = blocks(int64_power_blocks, g, r)
+    assert all(keys.dtype == np.int64 for _, _, keys in got)
+    assert [(a, b, k.tolist()) for a, b, k in got] == want
+    assert degs == int64_power_degrees(g, r)
+    if r > 1:
+        oracle = scipy_power(g, r)
+        assert np.array_equal(power.indptr, oracle.indptr)
+        assert np.array_equal(power.indices, oracle.indices)
+
+
+def test_row_cap_binds_at_two_to_the_twenty():
+    """On G(2**20, 1/n) the budget alone would allow blocks of about 3*10**4
+    rows; the int32 bound caps them at 2**30 / 2**20 = 1024, and every
+    tagged key still fits int32."""
+    n = 1 << 20
+    g = gnp_sample(n, 1.0 / n, RandomSource(11))
+    cap = graph.POWER_INT32_KEYS // n
+    assert cap == 1024
+    sizes = []
+    for start, stop, keys in graph._power_blocks(g, 2):
+        assert keys.dtype == np.int32
+        assert 2 * int(keys.max()) + 1 <= INT32_MAX
+        sizes.append(stop - start)
+    assert max(sizes) == cap and sum(sizes) == n
+    assert power_degrees(g, 2) == int64_power_degrees(g, 2)
