@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
-from .graph import (Graph, connected_components, induced_subgraph, is_forest,
-                    neighborhood_union, truncated_bfs)
+from .graph import (Graph, _power_blocks, connected_components, induced_subgraph,
+                    is_forest, neighborhood_union, truncated_bfs)
 from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
                       power_max_degree)
 
@@ -252,18 +252,28 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
 
 def verify_proper_power_coloring(g: Graph, r, coloring: Coloring):
     """(True, None) iff no two vertices at G-distance <= r share a color;
-    otherwise (False, first violating pair).  Checked by truncated BFS."""
+    otherwise (False, first violating pair).
+
+    The rows of the power kernel give the smallest v whose ball holds a
+    same-colored w > v; one truncated BFS from that v alone then names the
+    first such w in its visit order.
+    """
     n = g.n
     colors = coloring.colors
     if len(colors) != n:
         raise ValueError("coloring size mismatch")
-    balls = truncated_bfs(g, r, zip(range(n)))
-    for v, layers in enumerate(balls):
-        cv = colors[v]
-        for layer in layers:
-            for w in layer:
-                if colors[w] == cv and w > v:
-                    return False, (v, w)
+    color = np.asarray(colors)
+    for start, _, keys in _power_blocks(g, r):
+        v = keys // n
+        w = keys - v * n
+        v += start
+        clash = np.flatnonzero((w > v) & (color[w] == color[v]))
+        if clash.size:
+            v = int(v[clash[0]])
+            cv = colors[v]
+            layers = next(truncated_bfs(g, r, [(v,)]))
+            return False, next((v, w) for layer in layers for w in layer
+                               if colors[w] == cv and w > v)
     return True, None
 
 

@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError("dense-chi requires d > log n")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        for key in ("clique_budget", "chi_budget", "edge_cap"):
+        for key in ("clique_budget", "chi_budget", "edge_cap", "degree_cap"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
 

@@ -1,7 +1,7 @@
 """Degree, clique, independence, co-degree and cycle-proximity statistics
-of G and its powers, computed implicitly (the (A+I)^r block kernel of
-:mod:`graphpower.graph` for the degrees, truncated BFS for the rest)
-whenever possible.
+of G and its powers, computed implicitly whenever possible: the (A+I)^r
+block kernel of :mod:`graphpower.graph` counts the degrees, and its blocked
+ball expansion from every root finds the co-degrees and the short cycles.
 
 All operations are pure functions of an immutable :class:`~graphpower.graph.Graph`.
 Ties in argmax reductions always go to the smallest vertex index.
@@ -10,14 +10,13 @@ Ties in argmax reductions always go to the smallest vertex index.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import (Graph, _gather_rows, _power_blocks, ball, first_copies,
-                    truncated_bfs)
+from .graph import (Graph, _gather_rows, _power_blocks, _root_blocks, ball,
+                    first_copies, truncated_bfs)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -181,43 +180,87 @@ def greedy_independent_set(g: Graph) -> list:
 # -- cycle proximity -------------------------------------------------------
 
 
-def vertices_on_short_cycles(g: Graph, t) -> set:
-    """All vertices lying on some cycle of length <= t (exact enumeration).
+def _in_sorted(keys, table):
+    """Mask of the keys found in the sorted, nonempty array ``table``."""
+    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return table[at] == keys
 
-    DFS over simple paths anchored at their minimum vertex; intended for
-    small t on sparse graphs.  Raises BudgetExceededError past 5e7 paths.
+
+def vertices_on_short_cycles(g: Graph, t) -> set:
+    """All vertices lying on some cycle of length <= t.
+
+    A BFS from every root at once, to depth h = t // 2, finds the shortest
+    cycle through each root (Itai & Rodeh, SIAM J. Comput. 7(4), 1978).
+    Each reached vertex carries a branch label, the depth-1 vertex it
+    descends from (the smallest one when several parents reach it, which
+    is still a BFS tree).  Root v lies on a cycle of length <= t exactly
+    when a new vertex at depth k + 1 <= h is reached from two labels (a
+    cycle of length 2k + 2), or an edge joins two depth-k vertices of
+    different labels with 2k + 1 <= t: their tree paths share only v, and
+    along any cycle of length L <= t through v the label changes on an
+    edge with both ends within L // 2 of v.  Runs on the blocked ball
+    expansion of :mod:`graphpower.graph`; only the last two layers are
+    held, since a neighbour of depth k lies at depth k - 1, k or k + 1.
     """
     if t < 3:
         return set()
-    adj = g.adjacency_lists()
-    on_cycle = set()
-    work = 0
-    for a in range(g.n):
-        # simple paths a -> ... with interior vertices > a, closing back to a
-        stack = [(a, [a], {a})]
-        while stack:
-            u, path, used = stack.pop()
-            work += 1
-            if work > 50_000_000:
-                raise BudgetExceededError("cycle enumeration work cap exceeded")
-            for w in adj[u]:
-                if w == a and len(path) >= 3:
-                    on_cycle.update(path)
-                elif w > a and w not in used and len(path) < t:
-                    stack.append((w, path + [w], used | {w}))
-    return on_cycle
+    n = g.n
+    h = t // 2
+    hit = np.zeros(n, dtype=bool)
+
+    def grow(start, roots, expand):
+        found = np.zeros(roots.size, dtype=bool)
+        prev, (front, _) = roots, expand(roots)
+        label = front % n
+        for k in range(1, (t + 1) // 2):
+            if not front.size:
+                break
+            reached, cnt = expand(front)
+            parent_label = np.repeat(label, cnt)
+            at = np.minimum(np.searchsorted(front, reached), front.size - 1)
+            level = front[at] == reached
+            # an edge inside depth k across two branches: length 2k + 1
+            found[reached[level & (label[at] != parent_label)] // n] = True
+            if k == h:
+                break
+            new = ~level & ~_in_sorted(reached, prev)
+            # the distinct (vertex, label) pairs of depth k + 1, sorted
+            pair = reached[new] * np.int64(n) + parent_label[new]
+            pair.sort()
+            pair = pair[first_copies(pair)]
+            key = pair // n
+            first = first_copies(key)
+            # a new vertex reached from two branches: length 2k + 2
+            found[key[~first] // n] = True
+            prev, front = front, key[first].astype(roots.dtype)
+            label = pair[first] - key[first] * n
+        hit[start:start + roots.size] = found
+
+    _root_blocks(g, grow)
+    return set(np.flatnonzero(hit).tolist())
 
 
 def short_cycle_proximity(g: Graph, s, t) -> int:
-    """Z_{s,t}: number of vertices within distance s of a cycle of length <= t."""
+    """Z_{s,t}: number of vertices within distance s of a cycle of length <= t.
+
+    Grows a vertex mask from :func:`vertices_on_short_cycles` by s hops.
+    """
     if t < 3:
         raise ValueError("t must be >= 3")
     if t > DEFAULT_CYCLE_LENGTH_CAP:
         raise BudgetExceededError(
             f"cycle length {t} exceeds cap {DEFAULT_CYCLE_LENGTH_CAP}")
-    core = vertices_on_short_cycles(g, t)
-    layers = next(truncated_bfs(g, s, [core]))
-    return len(core) + sum(map(len, layers))
+    near = np.zeros(g.n, dtype=bool)
+    near[list(vertices_on_short_cycles(g, t))] = True
+    front = np.flatnonzero(near)
+    for _ in range(s):
+        lo = g.indptr[front]
+        reached = _gather_rows(g.indices, lo, g.indptr[front + 1] - lo)
+        reached = reached[~near[reached]]
+        reached.sort()
+        front = reached[first_copies(reached)]
+        near[front] = True
+    return int(near.sum())
 
 
 # -- co-degree and neighborhood density ------------------------------------
@@ -229,22 +272,47 @@ def codegree_max(g: Graph, r):
     layer_codegree: max over v, 1 <= i <= r and w != v of the number of
     G-edges from w into the exact-distance layer N_i(v) (w itself excluded
     from the target set).  power_codegree: same with the punctured ball
-    N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).  Both are
-    found by counting the neighbours of each layer's vertices.
+    N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).  Runs on the
+    blocked ball expansion of :mod:`graphpower.graph`: each layer is
+    expanded once, and a sort of the keys (root, w) counts the edges from
+    each w into it; one more sort of all of a root's keys counts them into
+    the punctured ball.
     """
-    adj = g.adjacency_lists()
-    layer_best = 0
-    power_best = 0
-    for v, layers in enumerate(truncated_bfs(g, r, zip(range(g.n)))):
-        into_ball = Counter()
-        for layer in layers:
-            into_layer = Counter(w for x in layer for w in adj[x])
-            into_layer.pop(v, None)
-            layer_best = max(layer_best, max(into_layer.values(), default=0))
-            into_ball.update(into_layer)
-        power_best = max(power_best, max(
-            (into_ball[w] for layer in layers for w in layer), default=0))
-    return layer_best, power_best
+    n = g.n
+    best = [0, 0]
+
+    def runs(keys):
+        """The distinct sorted keys and how often each occurs."""
+        keys.sort()
+        first = np.flatnonzero(first_copies(keys))
+        return keys[first], np.diff(first, append=keys.size)
+
+    def grow(start, roots, expand):
+        layer_best = power_best = 0
+        prev, (front, _) = roots, expand(roots)
+        layers, into = [], []
+        for _ in range(r):
+            if not front.size:
+                break
+            reached = expand(front)[0]
+            keys, count = runs(reached)
+            into.append(reached)
+            row = keys // n
+            # w = v is left out
+            layer_best = max(layer_best, count[keys - row * n != row + start]
+                             .max(initial=0))
+            layers.append(front)
+            new = ~_in_sorted(keys, front) & ~_in_sorted(keys, prev)
+            prev, front = front, keys[new]
+        if into:
+            keys, count = runs(np.concatenate(into))
+            ball = np.sort(np.concatenate(layers))
+            power_best = count[_in_sorted(keys, ball)].max(initial=0)
+        best[0] = max(best[0], int(layer_best))
+        best[1] = max(best[1], int(power_best))
+
+    _root_blocks(g, grow)
+    return best[0], best[1]
 
 
 def power_neighborhood_edge_count(g: Graph, v, r) -> int:

@@ -266,6 +266,17 @@ class TestExperimentCommand:
         assert captured.out == "" and not out.exists()
         assert captured.err == f"config error: {key} must be >= 0\n"
 
+    def test_negative_degree_cap_exit_2(self, tmp_path, capsys):
+        """A negative degree_cap once ran and wrote an empty pmf."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind = degree-pmf\nn = 100\nd = 2\nr = 2\n"
+                       "degree_cap = -1\n")
+        out = tmp_path / "rec.jsonl"
+        assert main(["experiment", "run", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "config error: degree_cap must be >= 0\n"
+
     def test_bad_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind = delta-concentration\nn = abc\nd = 2\nr = 2\n")

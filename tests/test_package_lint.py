@@ -6,7 +6,10 @@ evaluators raise only the package's own error types, which the CLI maps to
 exit codes; a bare ``ValueError`` there would end in a traceback.  The
 package needs numpy alone at run time: no module imports scipy, and no
 trial kind or ``graphpower power`` call loads it, since its import alone
-costs about as much set-up time and memory as a trial.
+costs about as much set-up time and memory as a trial.  The per-vertex
+Python walk ``truncated_bfs`` is called only from a pinned list of
+functions, so a new walk over every vertex fails here rather than in a
+profile.
 """
 
 import ast
@@ -86,3 +89,42 @@ def test_no_trial_kind_or_power_command_imports_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "True", "False"]
+
+
+# every call of truncated_bfs in the package, as module:function.  The numpy
+# ball expansions serve the short cycles, the co-degrees and the verifier's
+# scan; a call added here is a new per-vertex Python walk
+TRUNCATED_BFS_CALLERS = sorted([
+    "coloring.py:_greedy_fill",
+    "coloring.py:two_phase_power_coloring",         # the BFS-order tree walk
+    "coloring.py:verify_proper_power_coloring",     # one vertex's witness
+    "graph.py:ball",
+    "graph.py:neighborhood_union",
+    "metrics.py:power_neighborhood_edge_count",
+])
+
+
+def calls_by_function(tree, callee):
+    """The innermost function around each call of ``callee``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == callee:
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_truncated_bfs_callers_are_pinned():
+    found = sorted(f"{path.name}:{owner}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for owner in calls_by_function(
+                       ast.parse(path.read_text(), str(path)), "truncated_bfs"))
+    assert found == TRUNCATED_BFS_CALLERS
