@@ -12,8 +12,8 @@ _EXPORTS = {
     "errors": "BudgetExceededError ConfigError DomainError ForestViolationError "
               "GraphPowerError MemoryBudgetError NoConvergenceError",
     "graph": "Graph ball gnp_sample graph_power induced_subgraph is_forest "
-             "neighborhood_union read_dimacs read_edgelist truncated_bfs "
-             "write_dimacs write_edgelist",
+             "neighborhood_union read_dimacs read_edgelist write_dimacs "
+             "write_edgelist",
     "metrics": "PowerDegreeSummary clique_lower_bound codegree_max "
                "greedy_independent_set high_degree_set independence_number "
                "max_clique_exact power_degrees power_max_degree "

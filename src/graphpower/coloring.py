@@ -1,6 +1,7 @@
 """Proper colorings of graph powers.
 
-Greedy (implicit, BFS conflict checks), exact chromatic number via DSATUR
+Greedy on the rows of an explicit power (one loop over the CSR arrays
+serves both G^r and any explicit graph), exact chromatic number via DSATUR
 branch-and-bound on an explicit graph, and the constructive two-phase
 coloring that achieves Delta(G^{r-1}) + 1 colors when the high-degree
 subgraph is a forest.
@@ -16,10 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
-from .graph import (Graph, _power_blocks, connected_components, induced_subgraph,
-                    is_forest, neighborhood_union, truncated_bfs)
+from .graph import (Graph, _power_blocks, graph_power, induced_subgraph,
+                    is_forest, neighborhood_union)
 from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
                       power_max_degree)
+
+# rows shorter than this take the smallest absent color from a Python set,
+# longer ones from np.bincount, whose fixed cost is the larger and whose
+# cost per entry the smaller.  Greedy of G(2000, 2/n)^2, rows of about 6:
+# 3.7 ms, 8.8 with bincount alone; of G(1000, 30/n)^2, rows of about 600:
+# 8.4 ms, 26 with sets alone (best of 7, 2-core Xeon, numpy 2.4)
+SHORT_ROW = 64
 
 
 @dataclass
@@ -46,47 +54,46 @@ def _mex(used):
     return c
 
 
-def _greedy_fill(g: Graph, r, order, colors):
+def _greedy_fill(gp: Graph, order, colors):
     """Give each vertex of ``order`` in turn the smallest color absent from
-    its distance-<= r neighborhood (uncolored vertices hold -1)."""
-    balls = truncated_bfs(g, r, zip(order))
-    for v, layers in zip(order, balls):
-        colors[v] = _mex({colors[w] for layer in layers for w in layer})
+    its row of the explicit graph ``gp``; ``colors`` is an int64 array in
+    which uncolored vertices hold -1.
+
+    A row shorter than ``SHORT_ROW`` takes :func:`_mex` of its colors as a
+    set.  A longer one takes the first zero of the counts of its colors
+    shifted by one, so that uncolored neighbours land in the dropped slot 0.
+    Both give the same color.
+    """
+    indptr, indices = gp.indptr.tolist(), gp.indices
+    for v in order:
+        lo, hi = indptr[v], indptr[v + 1]
+        row = colors[indices[lo:hi]]
+        if hi - lo < SHORT_ROW:
+            colors[v] = _mex(set(row.tolist()))
+        else:
+            colors[v] = np.bincount(row + 1, minlength=row.size + 2)[1:].argmin()
 
 
 def greedy_power_coloring(g: Graph, r, order=None) -> Coloring:
-    """Greedy coloring of G^r in the given vertex order (default 0..n-1).
-
-    Each vertex gets the smallest color absent from its already-colored
-    distance-<= r neighborhood; the power is never materialized.
-    """
-    n = g.n
-    if order is None:
-        order = range(n)
-    else:
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of all vertices")
-    colors = [-1] * n
-    _greedy_fill(g, r, order, colors)
-    return Coloring(colors, max(colors) + 1 if n else 0, r)
+    """Greedy coloring of G^r in the given vertex order (default 0..n-1):
+    :func:`greedy_coloring_explicit` on the explicit power."""
+    return greedy_coloring_explicit(graph_power(g, r), order, r)
 
 
 def greedy_coloring_explicit(gp: Graph, order=None, radius=1) -> Coloring:
-    """Greedy coloring of an explicit graph (e.g. a materialized power).
+    """Greedy coloring of an explicit graph (e.g. a materialized power) in
+    the given vertex order (default 0..n-1).
 
-    Runs on the CSR arrays and builds no adjacency lists: a vertex's color
-    is the first zero of the counts of its neighbours' colors shifted by
-    one (uncolored neighbours hold -1 and land in the dropped slot 0), the
-    same smallest absent color as :func:`_mex`.
+    Each vertex gets the smallest color absent from its already-colored
+    neighbours.  Runs on the CSR arrays and builds no adjacency lists.
     """
     n = gp.n
     if order is None:
         order = range(n)
-    indptr, indices = gp.indptr.tolist(), gp.indices
+    elif sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all vertices")
     colors = np.full(n, -1, dtype=np.int64)
-    for v in order:
-        row = colors[indices[indptr[v]:indptr[v + 1]]]
-        colors[v] = np.bincount(row + 1, minlength=row.size + 2)[1:].argmin()
+    _greedy_fill(gp, order, colors)
     return Coloring(colors.tolist(), int(colors.max()) + 1 if n else 0, radius)
 
 
@@ -204,17 +211,19 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
     Phase 1 colors the high-degree set S over the forest induced by
     S and its radius-r neighborhood, trees rooted at their smallest vertex
     and traversed in BFS order.  Phase 2 colors the remaining vertices
-    greedily in increasing index order.  Raises ForestViolationError (with
-    a witness cycle in original indices) when the forest condition of the
-    construction fails; callers may fall back to plain greedy.
+    greedily in increasing index order.  Both phases run the greedy on the
+    rows of one explicit G^r, built only once the forest check has passed.
+    Raises ForestViolationError (with a witness cycle in original indices)
+    when the forest condition of the construction fails; callers may fall
+    back to plain greedy.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
     n = g.n
     delta_prev = power_max_degree(g, r - 1).delta
     s_set = high_degree_set(g, r, delta_prev)
-    colors = [-1] * n
 
+    phase1 = []
     if s_set:
         # closure is sorted, so h's vertex x is closure[x]
         closure = neighborhood_union(g, s_set, r)
@@ -222,41 +231,45 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
         forest, cycle = is_forest(h)
         if not forest:
             raise ForestViolationError([closure[x] for x in cycle])
-        # phase 1: the S-vertices in BFS visit order over each tree, rooted
-        # at its smallest vertex; the walk does not depend on colors.  The
-        # components are numbered in order of their smallest index, which
-        # is their smallest vertex
-        label, _ = connected_components(h)
-        roots = []
-        for x, c in enumerate(label):
-            if c == len(roots):
-                roots.append(x)
-        walk = []
-        for root, layers in zip(roots, truncated_bfs(h, h.n, zip(roots))):
+        # phase 1 order: the S-vertices in BFS visit order over each tree;
+        # the first unreached vertex in index order is its tree's smallest
+        adj = h.adjacency_lists()
+        seen = [False] * h.n
+        walk, i = [], 0
+        for root in range(h.n):
+            if seen[root]:
+                continue
+            seen[root] = True
             walk.append(root)
-            for layer in layers:
-                walk.extend(layer)
+            while i < len(walk):
+                for y in adj[walk[i]]:
+                    if not seen[y]:
+                        seen[y] = True
+                        walk.append(y)
+                i += 1
         in_s = set(s_set)
-        _greedy_fill(g, r, [closure[x] for x in walk if closure[x] in in_s], colors)
+        phase1 = [closure[x] for x in walk if closure[x] in in_s]
 
+    gp = graph_power(g, r)
+    colors = np.full(n, -1, dtype=np.int64)
+    _greedy_fill(gp, phase1, colors)
     # phase 2: all remaining vertices, increasing index order
-    _greedy_fill(g, r, [v for v in range(n) if colors[v] < 0], colors)
+    _greedy_fill(gp, np.flatnonzero(colors < 0).tolist(), colors)
 
-    palette = max(colors) + 1 if n else 0
+    palette = int(colors.max()) + 1 if n else 0
     if palette > delta_prev + 1:
         raise GraphPowerError(
             f"{palette} colors exceed the bound {delta_prev + 1} despite the "
             "forest condition")
-    return Coloring(colors, palette, r)
+    return Coloring(colors.tolist(), palette, r)
 
 
 def verify_proper_power_coloring(g: Graph, r, coloring: Coloring):
     """(True, None) iff no two vertices at G-distance <= r share a color;
     otherwise (False, first violating pair).
 
-    The rows of the power kernel give the smallest v whose ball holds a
-    same-colored w > v; one truncated BFS from that v alone then names the
-    first such w in its visit order.
+    The rows of the power kernel, scanned in order, give the first
+    violating pair (v, w), w > v, in lexicographic order.
     """
     n = g.n
     colors = coloring.colors
@@ -269,11 +282,7 @@ def verify_proper_power_coloring(g: Graph, r, coloring: Coloring):
         v += start
         clash = np.flatnonzero((w > v) & (color[w] == color[v]))
         if clash.size:
-            v = int(v[clash[0]])
-            cv = colors[v]
-            layers = next(truncated_bfs(g, r, [(v,)]))
-            return False, next((v, w) for layer in layers for w in layer
-                               if colors[w] == cv and w > v)
+            return False, (int(v[clash[0]]), int(w[clash[0]]))
     return True, None
 
 

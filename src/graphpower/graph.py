@@ -1,6 +1,6 @@
 """Immutable sparse graphs, G(n,p) sampling, the (A+I)^r block kernel behind
 explicit powers and power degrees, the blocked ball expansion from every
-root, BFS primitives, and file I/O.
+root, balls grown as vertex masks, the forest check, and file I/O.
 
 Graphs are stored in compressed-row form (``indptr``/``indices`` a la CSR)
 with strictly sorted adjacency rows, no self-loops and no parallel edges.
@@ -142,7 +142,8 @@ class Graph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def adjacency_lists(self):
-        """Adjacency as plain lists of ints (cached; fast for BFS loops)."""
+        """Adjacency as plain lists of ints (cached), for the Python loops of
+        the DSATUR, clique and forest code."""
         if self._adj is None:
             idx = self.indices.tolist()
             ptr = self.indptr.tolist()
@@ -225,7 +226,7 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
     return Graph._from_half_edges(n, i, j)
 
 
-# -- powers and BFS --------------------------------------------------------
+# -- powers and balls ------------------------------------------------------
 
 
 def _gather_rows(indices, lo, cnt):
@@ -391,51 +392,31 @@ def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:
     return Graph(n, indptr, np.concatenate(cols), validate=False)
 
 
-def truncated_bfs(g: Graph, r, starts):
-    """Exact-distance layers of radius-r BFS from each start set, lazily.
-
-    For each start set in ``starts`` (taken one at a time; each set is
-    iterated twice, so it must be a collection) yields the list of layers
-    N_1, ..., N_k with k <= r, stopping at the first empty layer.  Each
-    layer lists its vertices in visit order.  One stamp array, keyed by the
-    position of the start set, marks what the current search has reached,
-    so nothing is reset between searches; a call costs O(n) on top of the
-    searches, so batch many searches into one call.  Single-vertex searches
-    pass ``zip(vertices)``, which makes the 1-tuples without a Python frame.
-    This is the only truncated BFS in the package.
-    """
-    adj = g.adjacency_lists()
-    mark = [-1] * g.n
-    depths = range(r)
-    for i, frontier in enumerate(starts):
-        for v in frontier:
-            mark[v] = i
-        layers = []
-        for _ in depths:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if mark[w] != i:
-                        mark[w] = i
-                        nxt.append(w)
-            if not nxt:
-                break
-            layers.append(nxt)
-            frontier = nxt
-        yield layers
-
-
 def ball(g: Graph, v, r):
     """Sorted list of all vertices at distance <= r from v (including v)."""
-    layers = next(truncated_bfs(g, r, [(v,)]))
-    return sorted([v] + [w for layer in layers for w in layer])
+    return neighborhood_union(g, [v], r)
 
 
 def neighborhood_union(g: Graph, s, r):
     """Union of radius-r balls around the vertices of s: the closed union
-    S ∪ N_r(S), sorted."""
-    reached = {w for layer in next(truncated_bfs(g, r, [s])) for w in layer}
-    return sorted(reached | set(s))
+    S ∪ N_r(S), sorted.
+
+    Grows a vertex mask by r hops: each hop gathers the rows of the newest
+    frontier at once and keeps the distinct vertices not yet in the mask.
+    """
+    near = np.zeros(g.n, dtype=bool)
+    near[list(s)] = True
+    front = np.flatnonzero(near)
+    for _ in range(r):
+        if not front.size:
+            break
+        lo = g.indptr[front]
+        reached = _gather_rows(g.indices, lo, g.indptr[front + 1] - lo)
+        reached = reached[~near[reached]]
+        reached.sort()
+        front = reached[first_copies(reached)]
+        near[front] = True
+    return np.flatnonzero(near).tolist()
 
 
 def induced_subgraph(g: Graph, s):
@@ -450,26 +431,6 @@ def induced_subgraph(g: Graph, s):
     edges = label[g.edge_array()]
     edges = edges[(edges >= 0).all(axis=1)]
     return Graph.from_edges(len(s), edges), {v: i for i, v in enumerate(s)}
-
-
-def connected_components(g: Graph):
-    """Component label per vertex and the component count."""
-    adj = g.adjacency_lists()
-    label = [-1] * g.n
-    count = 0
-    for start in range(g.n):
-        if label[start] != -1:
-            continue
-        stack = [start]
-        label[start] = count
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if label[w] == -1:
-                    label[w] = count
-                    stack.append(w)
-        count += 1
-    return label, count
 
 
 def is_forest(g: Graph):

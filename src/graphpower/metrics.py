@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .graph import (Graph, _gather_rows, _power_blocks, _root_blocks, ball,
-                    first_copies, truncated_bfs)
+                    first_copies, neighborhood_union)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -243,24 +243,15 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
 def short_cycle_proximity(g: Graph, s, t) -> int:
     """Z_{s,t}: number of vertices within distance s of a cycle of length <= t.
 
-    Grows a vertex mask from :func:`vertices_on_short_cycles` by s hops.
+    The s-neighbourhood of :func:`vertices_on_short_cycles`, grown as a
+    vertex mask.
     """
     if t < 3:
         raise ValueError("t must be >= 3")
     if t > DEFAULT_CYCLE_LENGTH_CAP:
         raise BudgetExceededError(
             f"cycle length {t} exceeds cap {DEFAULT_CYCLE_LENGTH_CAP}")
-    near = np.zeros(g.n, dtype=bool)
-    near[list(vertices_on_short_cycles(g, t))] = True
-    front = np.flatnonzero(near)
-    for _ in range(s):
-        lo = g.indptr[front]
-        reached = _gather_rows(g.indices, lo, g.indptr[front + 1] - lo)
-        reached = reached[~near[reached]]
-        reached.sort()
-        front = reached[first_copies(reached)]
-        near[front] = True
-    return int(near.sum())
+    return len(neighborhood_union(g, vertices_on_short_cycles(g, t), s))
 
 
 # -- co-degree and neighborhood density ------------------------------------
@@ -319,6 +310,5 @@ def power_neighborhood_edge_count(g: Graph, v, r) -> int:
     """Number of G^r-edges spanned by ball(v, r) \\ {v} (implicit)."""
     nv = set(ball(g, v, r))
     nv.discard(v)
-    total = sum(w in nv for layers in truncated_bfs(g, r, zip(nv))
-                for layer in layers for w in layer)
-    return total // 2
+    # each w in N(v) counts the members of N(v) other than w within r of it
+    return sum(len(nv.intersection(ball(g, w, r))) - 1 for w in nv) // 2

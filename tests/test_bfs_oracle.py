@@ -1,11 +1,7 @@
-"""The truncated-BFS kernel and everything built on it, and the (A+I)^r
-block kernel behind ``power_degrees`` and ``graph_power``, against networkx
-and the scipy product in ``power_oracle``.
-
-networkx's ``single_source_shortest_path_length`` returns its distances in
-BFS visit order.  Edges are added to the networkx graph in sorted order, so
-its adjacency rows are sorted like :class:`~graphpower.graph.Graph`'s and
-the two searches visit vertices in the same order.
+"""Balls, the frozen truncated BFS of ``walk_oracle`` that the other
+oracles run on, and the (A+I)^r block kernel behind ``power_degrees`` and
+``graph_power``, against networkx and the scipy product in
+``power_oracle``.
 """
 
 import json
@@ -18,12 +14,13 @@ from hypothesis import strategies as st
 
 from graphpower import (Coloring, Graph, ball, gnp_sample, graph,
                         graph_power, greedy_power_coloring, metrics,
-                        neighborhood_union, power_degrees, truncated_bfs,
+                        neighborhood_union, power_degrees,
                         verify_proper_power_coloring)
 from graphpower.coloring import greedy_coloring_explicit
 from graphpower.rng import RandomSource
 
 from power_oracle import scipy_power
+from walk_oracle import _truncated_bfs
 
 SETTINGS = settings(max_examples=150, deadline=None)
 radii = st.integers(0, 4)
@@ -58,7 +55,7 @@ def test_ball_and_layers(data, g, r):
     v = data.draw(vertex(g))
     dist = distances(g, v, r)
     assert ball(g, v, r) == sorted(dist)
-    layers = next(truncated_bfs(g, r, [(v,)]))
+    layers = next(_truncated_bfs(g, r, [(v,)]))
     assert [len(layer) for layer in layers] == [
         sum(1 for d in dist.values() if d == i)
         for i in range(1, max(dist.values()) + 1)]
@@ -70,7 +67,7 @@ def test_kernel_layers_over_many_start_sets(data, g, r):
     # several searches share one stamp array; none may see another's marks
     starts = data.draw(st.lists(st.lists(vertex(g), max_size=3), max_size=5))
     h = nx_graph(g)
-    for start, layers in zip(starts, truncated_bfs(g, r, starts)):
+    for start, layers in zip(starts, _truncated_bfs(g, r, starts)):
         dist = {}
         for v in start:
             for w, d in nx.single_source_shortest_path_length(
@@ -121,7 +118,7 @@ def block_peaks(g, r):
     degree of the vertices at distance exactly k, for k = 0..r-1."""
     deg = g.degrees().tolist()
     peaks = np.zeros((g.n, r), dtype=np.int64)
-    for v, layers in enumerate(truncated_bfs(g, r - 1, zip(range(g.n)))):
+    for v, layers in enumerate(_truncated_bfs(g, r - 1, zip(range(g.n)))):
         for k, layer in enumerate([[v]] + layers):
             peaks[v, k] = sum(deg[w] for w in layer)
     return peaks
@@ -225,7 +222,9 @@ def test_power_degrees_are_python_ints(r):
 def test_first_violating_pair(data, g, r):
     colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
     coloring = Coloring(colors, max(colors) + 1, r)
-    expected = next(((v, w) for v in range(g.n) for w in distances(g, v, r)
+    # the lexicographically first violating pair
+    expected = next(((v, w) for v in range(g.n)
+                     for w in sorted(distances(g, v, r))
                      if w > v and colors[w] == colors[v]), None)
     assert verify_proper_power_coloring(g, r, coloring) == (
         expected is None, expected)

@@ -35,6 +35,14 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_power_coloring(path_graph(3), 1, order=[0, 0, 1])
 
+    def test_explicit_order_and_radius_validation(self):
+        # an order with a repeat, or one that leaves vertices out
+        for order in ([0, 1, 2, 2], [0]):
+            with pytest.raises(ValueError, match="permutation of all vertices"):
+                greedy_coloring_explicit(path_graph(3), order)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            greedy_power_coloring(path_graph(3), 0)
+
     def test_palette_bound_and_properness(self):
         for seed in range(5):
             g = gnp_sample(60, 0.05, RandomSource(seed))

@@ -203,6 +203,29 @@ class TestRunExperiment:
         rec = run_single_trial(make_cfg(kind="dense-chi", n=200, d=15.0), 0)
         assert rec.values["ordering_ok"] and rec.values["palette"] > 0
 
+    @pytest.mark.parametrize("kind,r", [("chi2-equality", 2), ("chi-sandwich", 3)])
+    def test_coloring_trials_build_no_lists_of_the_sample(self, monkeypatch,
+                                                          kind, r):
+        # only the small graphs the trial derives (the closure of the
+        # high-degree set, the squared ball) may build lists
+        sampled = []
+        gnp_sample, adjacency_lists = experiments.gnp_sample, Graph.adjacency_lists
+
+        def sample(*args, **kwargs):
+            sampled.append(gnp_sample(*args, **kwargs))
+            return sampled[-1]
+
+        def lists(g):
+            assert g is not sampled[-1], "adjacency lists of the sampled graph"
+            return adjacency_lists(g)
+
+        monkeypatch.setattr(experiments, "gnp_sample", sample)
+        monkeypatch.setattr(Graph, "adjacency_lists", lists)
+        cfg = make_cfg(kind=kind, n=300, d=2.0, r=r)
+        records = [run_single_trial(cfg, t) for t in range(4)]
+        assert len(sampled) == 4
+        assert all(rec.values["proper"] for rec in records)
+
     def test_measure_z(self):
         cfg = make_cfg(measure_z=True, n=100, d=3.0, trials=2)
         _, records = run_experiment(cfg)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from graphpower import (Graph, MemoryBudgetError, RandomSource, ball,
                         gnp_sample, graph_power, induced_subgraph, is_forest,
                         neighborhood_union, power_degrees, read_dimacs,
-                        read_edgelist, truncated_bfs, write_dimacs,
-                        write_edgelist)
-from graphpower.graph import connected_components
+                        read_edgelist, write_dimacs, write_edgelist)
+
+from walk_oracle import _truncated_bfs, connected_components
 
 
 def path_graph(n):
@@ -212,7 +212,7 @@ class TestGraphPower:
 
 
 def layer_sizes(g, v, r):
-    return [len(layer) for layer in next(truncated_bfs(g, r, [(v,)]))]
+    return [len(layer) for layer in next(_truncated_bfs(g, r, [(v,)]))]
 
 
 class TestBFS:

@@ -6,13 +6,15 @@ evaluators raise only the package's own error types, which the CLI maps to
 exit codes; a bare ``ValueError`` there would end in a traceback.  The
 package needs numpy alone at run time: no module imports scipy, and no
 trial kind or ``graphpower power`` call loads it, since its import alone
-costs about as much set-up time and memory as a trial.  The per-vertex
-Python walk ``truncated_bfs`` is called only from a pinned list of
-functions, so a new walk over every vertex fails here rather than in a
-profile.
+costs about as much set-up time and memory as a trial.  Adjacency lists
+are built only from a pinned list of functions, so a new per-vertex Python
+walk fails here rather than in a profile.  Every function the benchmark's
+tracer wraps still exists, so a renamed one fails here rather than in a
+traced benchmark run.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -91,16 +93,15 @@ def test_no_trial_kind_or_power_command_imports_scipy():
     assert out.stdout.split() == ["True", "True", "False"]
 
 
-# every call of truncated_bfs in the package, as module:function.  The numpy
-# ball expansions serve the short cycles, the co-degrees and the verifier's
-# scan; a call added here is a new per-vertex Python walk
-TRUNCATED_BFS_CALLERS = sorted([
-    "coloring.py:_greedy_fill",
-    "coloring.py:two_phase_power_coloring",         # the BFS-order tree walk
-    "coloring.py:verify_proper_power_coloring",     # one vertex's witness
-    "graph.py:ball",
-    "graph.py:neighborhood_union",
-    "metrics.py:power_neighborhood_edge_count",
+# every call of adjacency_lists in the package, as module:function: the
+# Python loops of the DSATUR, clique and forest code.  Balls, powers and
+# colorings run on the CSR arrays; a call added here is a new Python walk
+ADJACENCY_LISTS_CALLERS = sorted([
+    "coloring.py:dsatur_chromatic_exact",
+    "coloring.py:dsatur_greedy",
+    "coloring.py:two_phase_power_coloring",         # the BFS over the forest
+    "graph.py:is_forest",
+    "metrics.py:_adjacency_bitsets",
 ])
 
 
@@ -122,9 +123,23 @@ def calls_by_function(tree, callee):
     return found
 
 
-def test_truncated_bfs_callers_are_pinned():
+def test_adjacency_lists_callers_are_pinned():
     found = sorted(f"{path.name}:{owner}"
                    for path in sorted(PACKAGE.glob("*.py"))
                    for owner in calls_by_function(
-                       ast.parse(path.read_text(), str(path)), "truncated_bfs"))
-    assert found == TRUNCATED_BFS_CALLERS
+                       ast.parse(path.read_text(), str(path)), "adjacency_lists"))
+    assert found == ADJACENCY_LISTS_CALLERS
+
+
+def test_tracer_sites_resolve_on_the_package():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [site for sites in tracer.SPANS.values() for site in sites]
+    sites += list(tracer.HOOKS)
+    assert sites
+    missing = [site for site in sites
+               if not hasattr(getattr(graphpower, site.split(".")[0]),
+                              site.split(".")[1])]
+    assert not missing, f"tracer sites missing from the package: {missing}"

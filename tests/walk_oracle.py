@@ -1,10 +1,16 @@
-"""References for the ball-expansion tests: the per-vertex Python walks that
-computed short cycles, co-degrees and the coloring verdict before those
-became numpy ball expansions, kept as they were.  They share a frozen copy
-of the truncated BFS they ran on, so they stay fixed whatever becomes of
-the package's own."""
+"""References for the ball-expansion and coloring tests: the per-vertex
+Python walks that computed short cycles, co-degrees, the coloring verdict,
+the greedy and the two-phase coloring of G^r, and the component labels,
+before those moved onto numpy ball expansions and explicit powers, kept as
+they were.  They share a frozen copy of the truncated BFS they ran on, so
+they stay fixed whatever becomes of the package.  The one change: the
+verdict's witness is now the lexicographically first violating pair, where
+it was the first w in the BFS visit order from v."""
 
 from collections import Counter
+
+from graphpower import (ForestViolationError, high_degree_set, induced_subgraph,
+                        is_forest, power_max_degree)
 
 
 def _truncated_bfs(g, r, starts):
@@ -77,12 +83,86 @@ def counter_codegree_max(g, r):
 
 def bfs_verify_proper_power_coloring(g, r, colors):
     """(True, None) iff no two vertices at distance <= r share a color, else
-    (False, (v, w)): the smallest such v, and the first w > v in its BFS
-    visit order."""
+    (False, (v, w)): the smallest such v, and the smallest such w > v."""
     for v, layers in enumerate(_truncated_bfs(g, r, zip(range(g.n)))):
         cv = colors[v]
-        for layer in layers:
-            for w in layer:
-                if colors[w] == cv and w > v:
-                    return False, (v, w)
+        clash = [w for layer in layers for w in layer if colors[w] == cv and w > v]
+        if clash:
+            return False, (v, min(clash))
     return True, None
+
+
+def connected_components(g):
+    """Component label per vertex and the component count."""
+    adj = g.adjacency_lists()
+    label = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if label[start] != -1:
+            continue
+        stack = [start]
+        label[start] = count
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if label[w] == -1:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    return label, count
+
+
+def _mex(used):
+    c = 0
+    while c in used:
+        c += 1
+    return c
+
+
+def _greedy_fill(g, r, order, colors):
+    """Give each vertex of ``order`` in turn the smallest color absent from
+    its distance-<= r neighborhood (uncolored vertices hold -1)."""
+    balls = _truncated_bfs(g, r, zip(order))
+    for v, layers in zip(order, balls):
+        colors[v] = _mex({colors[w] for layer in layers for w in layer})
+
+
+def bfs_greedy_power_coloring(g, r, order=None):
+    """The colors of the greedy coloring of G^r in the given vertex order
+    (default 0..n-1), one BFS per vertex (the order check is left out)."""
+    colors = [-1] * g.n
+    _greedy_fill(g, r, range(g.n) if order is None else order, colors)
+    return colors
+
+
+def bfs_two_phase_power_coloring(g, r):
+    """The colors of the two-phase coloring of G^r (r >= 2), or
+    ForestViolationError with its witness cycle; the S-vertices are colored
+    in BFS order over each tree of the closure, rooted at its smallest
+    vertex (the palette check is left out)."""
+    n = g.n
+    delta_prev = power_max_degree(g, r - 1).delta
+    s_set = high_degree_set(g, r, delta_prev)
+    colors = [-1] * n
+    if s_set:
+        reached = {w for layer in next(_truncated_bfs(g, r, [s_set]))
+                   for w in layer}
+        closure = sorted(reached | set(s_set))
+        h, _ = induced_subgraph(g, closure)
+        forest, cycle = is_forest(h)
+        if not forest:
+            raise ForestViolationError([closure[x] for x in cycle])
+        label, _ = connected_components(h)
+        roots = []
+        for x, c in enumerate(label):
+            if c == len(roots):
+                roots.append(x)
+        walk = []
+        for root, layers in zip(roots, _truncated_bfs(h, h.n, zip(roots))):
+            walk.append(root)
+            for layer in layers:
+                walk.extend(layer)
+        in_s = set(s_set)
+        _greedy_fill(g, r, [closure[x] for x in walk if closure[x] in in_s], colors)
+    _greedy_fill(g, r, [v for v in range(n) if colors[v] < 0], colors)
+    return colors
