@@ -277,6 +277,9 @@ def _cmd_eval(args):
 
 
 def _cmd_experiment(args):
+    # the flag is set after the config is built, so its checks do not run
+    _require(args.workers is None or args.workers >= 1,
+             "--workers must be >= 1")
     cfg = experiments.parse_config_file(args.config)
     if args.workers is not None:
         cfg.workers = args.workers
@@ -288,6 +291,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_verify(args):
+    _require(args.workers >= 1, "--workers must be >= 1")
     # verify_theorem refuses an override its campaign does not take
     overrides = {key: getattr(args, key) for key in ("trials", "n", "d", "r")
                  if getattr(args, key) is not None}

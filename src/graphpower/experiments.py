@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError("dense-chi requires d > log n")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.sample_mode not in ("auto", "bernoulli", "skip"):
+            raise ConfigError(f"unknown sample_mode {self.sample_mode!r}; "
+                              "use auto, bernoulli or skip")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         for key in ("clique_budget", "chi_budget", "edge_cap", "degree_cap"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")

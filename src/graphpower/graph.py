@@ -1,6 +1,7 @@
-"""Immutable sparse graphs, G(n,p) sampling, the (A+I)^r block kernel behind
-explicit powers and power degrees, the blocked ball expansion from every
-root, balls grown as vertex masks, the forest check, and file I/O.
+"""Immutable sparse graphs, G(n,p) sampling, the one block driver that runs
+a ball expansion from every root, the (A+I)^r kernel on it behind explicit
+powers and power degrees, balls grown as vertex masks, the forest check,
+and file I/O.
 
 Graphs are stored in compressed-row form (``indptr``/``indices`` a la CSR)
 with strictly sorted adjacency rows, no self-loops and no parallel edges.
@@ -21,14 +22,14 @@ DEFAULT_EDGE_CAP = 10 ** 8
 # 1000-vertex dense trial loop by up to 9 MB, and one draw of all 2**21
 # pairs would hold 16 MB
 UNIFORM_CHUNK = 1 << 13
-# keys one block of the power kernel may hold (one row may pass it).  A
+# keys one expansion of a block may hold (one row may pass it).  A
 # 2**16-key expansion's arrays (512 KB each) stay in a 2 MB L2 cache: on
 # G(n, 2/n) it ran as fast as 2**20 and left peak RSS flat, where 2**20
 # added up to 30 MB
 POWER_KEY_BUDGET = 1 << 16
-# bound on the keys local_row * n + v of one power-kernel block: below
-# 2**30, a key tagged in its low bit still fits int32, which halves the
-# bytes every sort and gather of the kernel moves
+# bound on the keys local_row * n + v of one block: below 2**30, a key
+# tagged in its low bit still fits int32, which halves the bytes every sort
+# and gather of the kernel moves
 POWER_INT32_KEYS = 1 << 30
 
 
@@ -241,107 +242,52 @@ def _gather_rows(indices, lo, cnt):
     return indices[np.arange(cnt.sum()) + np.repeat(offsets, cnt)]
 
 
-def _power_blocks(g: Graph, r):
-    """The rows of (A+I)^r, a block at a time: yields (start, stop, keys),
-    where ``keys`` holds, sorted, ``local_row * n + v`` for every v within
-    distance r of vertex ``start + local_row``, the vertex itself included.
-
-    This is the package's one power kernel, in the style of Gustavson's
-    row-wise sparse product (ACM TOMS 4(3), 1978).  Each hop joins every
-    neighbour of the newest layer.  On the hops before the last, ball keys
-    are tagged 0 and reached keys 1 in the low bit, so after one sort the
-    first copy of each key tells whether it is new; the last hop needs no
-    new layer and only sorts and deduplicates.  A block at most doubles the
-    last one and is capped by the budget over the last block's largest
-    expansion per row; a block whose expansion would pass
-    ``POWER_KEY_BUDGET`` keys is halved and redone, down to one row.  Keys
-    are int32 (``g.indices`` is cast once per call) and a block holds at
-    most ``POWER_INT32_KEYS // n`` rows, so tagged keys stay below 2**31;
-    only when one row cannot fit (n > ``POWER_INT32_KEYS``) are they int64.
-    """
-    n = g.n
-    indptr = g.indptr
-    max_rows = POWER_INT32_KEYS // max(n, 1)
-    dtype = np.int32 if max_rows else np.int64
-    max_rows = max_rows or n
-    indices = g.indices.astype(dtype)
-    start, rows = 0, 1
-    while start < n:
-        stop = min(n, start + rows)
-        rows = stop - start
-        balls = np.arange(rows, dtype=dtype) * (n + 1) + start
-        frontier = balls
-        peak = 0
-        for hop in range(1, r + 1):
-            v = frontier % n
-            lo = indptr[v]
-            cnt = indptr[1:][v] - lo
-            total = int(cnt.sum())
-            peak = max(peak, total)
-            if total == 0 or (peak > POWER_KEY_BUDGET and rows > 1):
-                break
-            reached = _gather_rows(indices, lo, cnt)
-            reached += np.repeat(frontier - v, cnt)
-            # np.compress, not a boolean index: 2-4x faster on these masks
-            if hop == r:
-                keys = np.concatenate([balls, reached])
-                keys.sort()
-                balls = np.compress(first_copies(keys), keys)
-                break
-            tagged = np.concatenate([balls, reached])
-            tagged <<= 1
-            tagged[balls.size:] |= 1
-            tagged.sort()
-            tagged = np.compress(first_copies(tagged >> 1), tagged)
-            balls = tagged >> 1
-            frontier = np.compress((tagged & 1).astype(bool), balls)
-        if peak > POWER_KEY_BUDGET and rows > 1:
-            rows //= 2
-            continue
-        yield start, stop, balls
-        rows = min(2 * rows, max(1, POWER_KEY_BUDGET * rows // max(peak, 1)),
-                   max_rows)
-        start = stop
-
-
 class _OverBudget(Exception):
-    """A block of :func:`_root_blocks` expanded past ``POWER_KEY_BUDGET``."""
+    """An expansion of a block of :func:`_root_blocks` passed
+    ``POWER_KEY_BUDGET`` keys."""
 
 
 def _root_blocks(g: Graph, grow):
     """Run a ball expansion from every root at once, a block of consecutive
-    roots at a time.
+    roots at a time: yields ``(start, stop, grow(start, roots, expand))``.
 
-    Calls ``grow(start, roots, expand)`` per block: ``roots`` holds the keys
+    This is the package's one block driver.  ``roots`` holds the keys
     ``local_row * (n + 1) + start`` of the block's roots, and
     ``expand(keys)`` returns the keys ``local_row * n + w`` of every
-    neighbour w of each key ``local_row * n + x``, in order, with each key's
-    neighbour count.  Keys are int32 under the row cap of
-    :func:`_power_blocks`, and blocks are sized as there, with two changes:
-    the budget counts every key a block expands, and the first block tries
-    every root.  A block of more than one root is halved and redone as soon
-    as an expansion would pass ``POWER_KEY_BUDGET``, so ``grow`` writes its
-    results only when it returns.  Starting from every root rather than one
-    skips the ramp of small blocks: G(500, 2/n) takes one block instead of
-    nine, its short cycles a fifth less time, and the many small arrays of
-    varied size that numpy caches (raising the peak RSS) are not made.
+    neighbour w of each key ``local_row * n + x``, in order, with each
+    key's neighbour count.  Keys are int32 (``g.indices`` is cast once per
+    call) and a block holds at most ``POWER_INT32_KEYS // n`` roots, so a
+    key tagged in its low bit stays below 2**31; only when one root cannot
+    fit (n > ``POWER_INT32_KEYS``) are they int64, with no row cap.
+
+    The first block tries every root under the row cap; a block of more
+    than one root is halved and redone as soon as one expansion would pass
+    ``POWER_KEY_BUDGET`` keys, so ``grow`` returns its results only when
+    the block passes.  The next block at most doubles the last one and is
+    capped by the budget over the last block's largest expansion per root.
+    Starting from every root rather than one skips the ramp of small
+    blocks: G(500, 2/n) takes one block instead of nine, and the many small
+    arrays of varied size that numpy caches (raising the peak RSS) are not
+    made.
     """
     n = g.n
     indptr = g.indptr
+    budget = POWER_KEY_BUDGET
     max_rows = POWER_INT32_KEYS // max(n, 1)
     dtype = np.int32 if max_rows else np.int64
     max_rows = max_rows or n
     indices = g.indices.astype(dtype)
-    held = 0
+    peak = 0
 
     def expand(keys):
-        nonlocal held
+        nonlocal peak
         v = keys % n
         lo = indptr[v]
         cnt = indptr[1:][v] - lo
-        held += int(cnt.sum())
-        if held > POWER_KEY_BUDGET and rows > 1:
+        total = int(cnt.sum())
+        if total > budget and rows > 1:
             raise _OverBudget
+        peak = max(peak, total)
         reached = _gather_rows(indices, lo, cnt)
         reached += np.repeat(keys - v, cnt)
         return reached, cnt
@@ -350,15 +296,51 @@ def _root_blocks(g: Graph, grow):
     while start < n:
         stop = min(n, start + rows)
         rows = stop - start
-        held = 0
+        peak = 0
         try:
-            grow(start, np.arange(rows, dtype=dtype) * (n + 1) + start, expand)
+            out = grow(start, np.arange(rows, dtype=dtype) * (n + 1) + start,
+                       expand)
         except _OverBudget:
             rows //= 2
             continue
-        rows = min(2 * rows, max(1, POWER_KEY_BUDGET * rows // max(held, 1)),
-                   max_rows)
+        yield start, stop, out
+        rows = min(2 * rows, max(1, budget * rows // max(peak, 1)), max_rows)
         start = stop
+
+
+def _power_blocks(g: Graph, r):
+    """The rows of (A+I)^r, a block at a time: yields (start, stop, keys),
+    where ``keys`` holds, sorted, ``local_row * n + v`` for every v within
+    distance r of vertex ``start + local_row``, the vertex itself included.
+
+    The ball expansion behind every power, run on :func:`_root_blocks`, in
+    the style of Gustavson's row-wise sparse product (ACM TOMS 4(3), 1978).
+    Each hop joins every neighbour of the newest layer.  On the hops before
+    the last, ball keys are tagged 0 and reached keys 1 in the low bit, so
+    after one sort the first copy of each key tells whether it is new; the
+    last hop needs no new layer and only sorts and deduplicates.
+    """
+    def grow(_, balls, expand):
+        frontier = balls
+        for hop in range(1, r + 1):
+            reached, _ = expand(frontier)
+            if not reached.size:
+                break
+            # np.compress, not a boolean index: 2-4x faster on these masks
+            if hop == r:
+                keys = np.concatenate([balls, reached])
+                keys.sort()
+                return np.compress(first_copies(keys), keys)
+            tagged = np.concatenate([balls, reached])
+            tagged <<= 1
+            tagged[balls.size:] |= 1
+            tagged.sort()
+            tagged = np.compress(first_copies(tagged >> 1), tagged)
+            balls = tagged >> 1
+            frontier = np.compress((tagged & 1).astype(bool), balls)
+        return balls
+
+    return _root_blocks(g, grow)
 
 
 def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:

@@ -1,7 +1,8 @@
 """Degree, clique, independence, co-degree and cycle-proximity statistics
-of G and its powers, computed implicitly whenever possible: the (A+I)^r
-block kernel of :mod:`graphpower.graph` counts the degrees, and its blocked
-ball expansion from every root finds the co-degrees and the short cycles.
+of G and its powers, computed implicitly whenever possible: ball expansions
+from every root, run on the one block driver of :mod:`graphpower.graph`,
+count the degrees (the (A+I)^r kernel) and find the co-degrees and the
+short cycles.
 
 All operations are pure functions of an immutable :class:`~graphpower.graph.Graph`.
 Ties in argmax reductions always go to the smallest vertex index.
@@ -198,9 +199,9 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
     cycle of length 2k + 2), or an edge joins two depth-k vertices of
     different labels with 2k + 1 <= t: their tree paths share only v, and
     along any cycle of length L <= t through v the label changes on an
-    edge with both ends within L // 2 of v.  Runs on the blocked ball
-    expansion of :mod:`graphpower.graph`; only the last two layers are
-    held, since a neighbour of depth k lies at depth k - 1, k or k + 1.
+    edge with both ends within L // 2 of v.  Runs on the block driver of
+    :mod:`graphpower.graph`; only the last two layers are held, since a
+    neighbour of depth k lies at depth k - 1, k or k + 1.
     """
     if t < 3:
         return set()
@@ -208,7 +209,7 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
     h = t // 2
     hit = np.zeros(n, dtype=bool)
 
-    def grow(start, roots, expand):
+    def grow(_, roots, expand):
         found = np.zeros(roots.size, dtype=bool)
         prev, (front, _) = roots, expand(roots)
         label = front % n
@@ -234,9 +235,10 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
             found[key[~first] // n] = True
             prev, front = front, key[first].astype(roots.dtype)
             label = pair[first] - key[first] * n
-        hit[start:start + roots.size] = found
+        return found
 
-    _root_blocks(g, grow)
+    for start, stop, found in _root_blocks(g, grow):
+        hit[start:stop] = found
     return set(np.flatnonzero(hit).tolist())
 
 
@@ -264,13 +266,12 @@ def codegree_max(g: Graph, r):
     G-edges from w into the exact-distance layer N_i(v) (w itself excluded
     from the target set).  power_codegree: same with the punctured ball
     N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).  Runs on the
-    blocked ball expansion of :mod:`graphpower.graph`: each layer is
-    expanded once, and a sort of the keys (root, w) counts the edges from
-    each w into it; one more sort of all of a root's keys counts them into
-    the punctured ball.
+    block driver of :mod:`graphpower.graph`: each layer is expanded once,
+    and a sort of the keys (root, w) counts the edges from each w into it;
+    one more sort of all of a root's keys counts them into the punctured
+    ball.
     """
     n = g.n
-    best = [0, 0]
 
     def runs(keys):
         """The distinct sorted keys and how often each occurs."""
@@ -299,11 +300,12 @@ def codegree_max(g: Graph, r):
             keys, count = runs(np.concatenate(into))
             ball = np.sort(np.concatenate(layers))
             power_best = count[_in_sorted(keys, ball)].max(initial=0)
-        best[0] = max(best[0], int(layer_best))
-        best[1] = max(best[1], int(power_best))
+        return int(layer_best), int(power_best)
 
-    _root_blocks(g, grow)
-    return best[0], best[1]
+    layer = power = 0
+    for _, _, (layer_best, power_best) in _root_blocks(g, grow):
+        layer, power = max(layer, layer_best), max(power, power_best)
+    return layer, power
 
 
 def power_neighborhood_edge_count(g: Graph, v, r) -> int:

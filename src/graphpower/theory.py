@@ -344,12 +344,13 @@ def lemma2_min_lagrange(big_d, r) -> LagrangeSolution:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if total(mid) < big_d:
+        at_mid = total(mid)
+        if at_mid < big_d:
             lo = mid
         else:
             hi = mid
         it += 1
-        if abs(total(mid) - big_d) <= 1e-10:
+        if abs(at_mid - big_d) <= 1e-10:
             lo = hi = mid
             break
     p_r = 0.5 * (lo + hi)

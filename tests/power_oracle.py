@@ -1,7 +1,7 @@
 """References for the power-kernel tests: the sparse boolean matrix product
 that built ``graph_power`` before the row-block kernel did, kept as an
 independent oracle, and the row-block kernel as it was on int64 keys with a
-tagged last hop, kept as the reference for its blocks."""
+tagged last hop, kept as the reference for its rows."""
 
 import numpy as np
 
@@ -43,10 +43,12 @@ def scipy_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:
 
 
 def int64_power_blocks(g: Graph, r):
-    """The rows of (A+I)^r as ``graph._power_blocks`` yielded them on int64
-    keys, with every hop tagged: (start, stop, keys), ``keys`` the sorted
-    ``local_row * n + v`` of the block.  Reads ``graph.POWER_KEY_BUDGET``
-    at call time, so a test can shrink the blocks of both kernels."""
+    """The rows of (A+I)^r on int64 keys, with every hop tagged, frozen as
+    the reference for the rows of ``graph._power_blocks``: (start, stop,
+    keys), ``keys`` the sorted ``local_row * n + v`` of the block.  Blocks
+    ramp up from one row; only the rows they hold, not the block sizes,
+    are compared.  Reads ``graph.POWER_KEY_BUDGET`` at call time, so a
+    test can shrink the blocks of both kernels."""
     n = g.n
     indptr = g.indptr
     start, rows = 0, 1

@@ -84,7 +84,7 @@ def test_root_blocks_cover_every_root_once_in_order(g, lay, cap):
         layout(mp, g, *lay)
         if not lay[1]:
             mp.setattr(graph, "POWER_INT32_KEYS", cap * g.n)
-        graph._root_blocks(g, grow)
+        list(graph._root_blocks(g, grow))
         budget = graph.POWER_KEY_BUDGET
     n = g.n
     assert [start for start, *_ in blocks] == sorted(

@@ -140,14 +140,17 @@ def degrees_in_small_blocks(g, r, budget):
         mp.setattr(metrics, "_power_blocks", record)
         degs = power_degrees(g, r)
     peaks = block_peaks(g, r)
+    cap = graph.POWER_INT32_KEYS // max(g.n, 1)
 
     def block_peak(start, stop):
         return int(peaks[start:stop].sum(axis=0).max(initial=0))
 
-    # a block at most doubles the last one and is capped by budget / peak;
-    # the sizes it was halved from are the ones it tried first
+    # the first block tries every row under the row cap; a later one at
+    # most doubles the last one and is capped by budget / peak.  The sizes
+    # a block was halved from are the ones it tried first, each after the
+    # size twice it overran
     blocks = []
-    start, rows = 0, 1
+    start, rows = 0, cap
     for got_start, stop in yielded:
         assert got_start == start
         size = stop - start
@@ -158,7 +161,7 @@ def degrees_in_small_blocks(g, r, budget):
         assert all(block_peak(start, start + t) > budget for t in tried)
         peak = block_peak(start, stop)
         blocks.append((size, peak, tried))
-        rows = min(2 * size, max(1, budget * size // max(peak, 1)))
+        rows = min(2 * size, max(1, budget * size // max(peak, 1)), cap)
         start = stop
     assert start == g.n
     # a block may pass the budget only as one row; only larger ones halve

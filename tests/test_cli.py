@@ -283,6 +283,34 @@ class TestExperimentCommand:
         assert main(["experiment", "run", str(cfg)]) == 2
         assert f"{cfg}:2:" in capsys.readouterr().err
 
+    # an unknown mode once ended in a traceback from the sampler (d = 2),
+    # or ran and was hashed into the records (d = 0)
+    @pytest.mark.parametrize("d", [2, 0])
+    def test_unknown_sample_mode_exit_2(self, tmp_path, capsys, d):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"kind = delta-concentration\nn = 50\nd = {d}\nr = 2\n"
+                       "sample_mode = foo\n")
+        out = tmp_path / "rec.jsonl"
+        assert main(["experiment", "run", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "config error: unknown sample_mode 'foo'" in captured.err
+
+    # workers below 1 once ran serially and exited 0
+    @pytest.mark.parametrize("key,flag", [("workers = 0\n", []),
+                                          ("", ["--workers", "-1"])],
+                             ids=["config", "flag"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, key, flag):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kind = delta-concentration\nn = 50\nd = 2\nr = 2\n"
+                       + key)
+        out = tmp_path / "rec.jsonl"
+        assert main(["experiment", "run", str(cfg), "--out", str(out)]
+                    + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "workers must be >= 1" in captured.err
+
 
 class TestVerifyCommand:
     # refused before any campaign runs: th1 takes a grid of n, th2 fixes r=2
@@ -300,6 +328,15 @@ class TestVerifyCommand:
             main(["verify-theorem", "th2", "--edge-cap", "5"])
         assert exc.value.code == 2
         assert "--edge-cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, monkeypatch, capsys, workers):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr(experiments, "verify_theorem", no_campaign)
+        assert main(["verify-theorem", "th2", "--workers", workers]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 class TestOutOfRangeFlags:

@@ -8,7 +8,9 @@ package needs numpy alone at run time: no module imports scipy, and no
 trial kind or ``graphpower power`` call loads it, since its import alone
 costs about as much set-up time and memory as a trial.  Adjacency lists
 are built only from a pinned list of functions, so a new per-vertex Python
-walk fails here rather than in a profile.  Every function the benchmark's
+walk fails here rather than in a profile.  The constants that size a
+block of ball expansions are read by the one block driver alone, so a
+second block loop fails here.  Every function the benchmark's
 tracer wraps still exists, so a renamed one fails here rather than in a
 traced benchmark run.
 """
@@ -105,22 +107,30 @@ ADJACENCY_LISTS_CALLERS = sorted([
 ])
 
 
-def calls_by_function(tree, callee):
-    """The innermost function around each call of ``callee``."""
+def owners(tree, match):
+    """The innermost function around each node that ``match`` accepts."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == callee:
-                found.append(owner)
+        elif match(node):
+            found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, "<module>")
     return found
+
+
+def name_of(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def calls_by_function(tree, callee):
+    """The innermost function around each call of ``callee``."""
+    return owners(tree, lambda node: isinstance(node, ast.Call)
+                  and name_of(node.func) == callee)
 
 
 def test_adjacency_lists_callers_are_pinned():
@@ -129,6 +139,24 @@ def test_adjacency_lists_callers_are_pinned():
                    for owner in calls_by_function(
                        ast.parse(path.read_text(), str(path)), "adjacency_lists"))
     assert found == ADJACENCY_LISTS_CALLERS
+
+
+# the constants that size a block of ball expansions, read by the one
+# block driver alone: a second hand-rolled block loop fails here
+BLOCK_CONSTANTS = ("POWER_KEY_BUDGET", "POWER_INT32_KEYS")
+
+
+def test_block_constants_are_read_by_the_driver_alone():
+    def reads(node):
+        return (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and name_of(node) in BLOCK_CONSTANTS)
+
+    found = sorted({f"{path.name}:{owner}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for owner in owners(ast.parse(path.read_text(), str(path)),
+                                        reads)})
+    assert found == ["graph.py:_root_blocks"]
 
 
 def test_tracer_sites_resolve_on_the_package():

@@ -1,7 +1,7 @@
 """The (A+I)^r block kernel ``graph._power_blocks`` on int32 keys, against
-its int64 form frozen in ``power_oracle``: the same blocks and keys while
-the int32 row cap does not bind, the same rows when it does, and the int64
-branch when a forced bound leaves no row room."""
+the int64 rows frozen in ``power_oracle``: the same rows whether or not the
+int32 row cap binds, and the int64 branch when a forced bound leaves no row
+room."""
 
 import numpy as np
 import pytest
@@ -24,8 +24,10 @@ def random_graphs(draw):
     return gnp_sample(n, p, RandomSource(draw(st.integers(0, 2 ** 32))))
 
 
-def blocks(kernel, g, r):
-    return [(start, stop, keys.tolist()) for start, stop, keys in kernel(g, r)]
+def global_rows(blocks, n):
+    """The (row, v) entries of (A+I)^r held by the blocks, in order."""
+    return [(start + key // n, key % n) for start, _, keys in blocks
+            for key in keys.tolist()]
 
 
 @settings(max_examples=120, deadline=None)
@@ -35,9 +37,9 @@ def test_blocks_equal_the_int64_kernel(g, r, three_key_budget):
         if three_key_budget:
             mp.setattr(graph, "POWER_KEY_BUDGET", 3)
         got = list(graph._power_blocks(g, r))
-        want = blocks(int64_power_blocks, g, r)
+        want = global_rows(int64_power_blocks(g, r), g.n)
     assert all(keys.dtype == np.int32 for _, _, keys in got)
-    assert [(a, b, k.tolist()) for a, b, k in got] == want
+    assert global_rows(got, g.n) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -78,9 +80,9 @@ def test_forced_int64_branch_is_the_int64_kernel(g, r, three_key_budget):
         got = list(graph._power_blocks(g, r))
         degs = power_degrees(g, r)
         power = graph_power(g, r)
-        want = blocks(int64_power_blocks, g, r)
+        want = global_rows(int64_power_blocks(g, r), g.n)
     assert all(keys.dtype == np.int64 for _, _, keys in got)
-    assert [(a, b, k.tolist()) for a, b, k in got] == want
+    assert global_rows(got, g.n) == want
     assert degs == int64_power_degrees(g, r)
     if r > 1:
         oracle = scipy_power(g, r)
