@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 verification fail, 2 config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -52,12 +53,14 @@ def build_parser():
                           choices=["auto", "bernoulli", "skip"])
     p_sample.add_argument("--out", required=True,
                           help=".col writes DIMACS, anything else edge list")
+    p_sample.set_defaults(run=_cmd_sample)
 
     p_power = subs.add_parser("power", help="materialize an explicit power")
     p_power.add_argument("--in", dest="infile", required=True)
     p_power.add_argument("--r", type=int, required=True)
     p_power.add_argument("--edge-cap", type=int, default=10 ** 8)
     p_power.add_argument("--out", required=True)
+    p_power.set_defaults(run=_cmd_power)
 
     p_stats = subs.add_parser("stats", help="implicit power statistics")
     p_stats.add_argument("--in", dest="infile", required=True)
@@ -65,6 +68,7 @@ def build_parser():
     p_stats.add_argument("--codegree", action="store_true")
     p_stats.add_argument("--cycle-s", type=int, default=None)
     p_stats.add_argument("--cycle-t", type=int, default=None)
+    p_stats.set_defaults(run=_cmd_stats)
 
     p_color = subs.add_parser("color", help="color a power of a graph")
     p_color.add_argument("--in", dest="infile", required=True)
@@ -74,6 +78,7 @@ def build_parser():
     p_color.add_argument("--chi-budget", type=int, default=2_000_000)
     p_color.add_argument("--edge-cap", type=int, default=10 ** 8)
     p_color.add_argument("--out", default=None)
+    p_color.set_defaults(run=_cmd_color)
 
     p_eval = subs.add_parser("eval", help="evaluate a closed-form quantity")
     p_eval.add_argument("formula", nargs="?", default=None,
@@ -81,6 +86,7 @@ def build_parser():
     p_eval.add_argument("params", nargs="*", help="key=value pairs")
     p_eval.add_argument("--batch", default=None,
                         help="file with one 'formula key=value ...' per line")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_exp = subs.add_parser("experiment", help="run a configured campaign")
     exp_subs = p_exp.add_subparsers(dest="action", required=True)
@@ -88,6 +94,7 @@ def build_parser():
     p_run.add_argument("config", help="flat key=value config file")
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--out", default=None)
+    p_run.set_defaults(run=_cmd_experiment)
 
     p_verify = subs.add_parser("verify-theorem",
                                help="run a verification campaign with gates")
@@ -98,27 +105,66 @@ def build_parser():
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--d", type=float, default=None)
     p_verify.add_argument("--r", type=int, default=None)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
+def _profile(text):
+    """A layer profile written as comma-separated integers."""
+    return tuple(int(x) for x in text.split(",") if x != "")
+
+
+def _value(fn):
+    """A formula whose one result field is ``value = fn(*keys)``."""
+    return lambda *args: {"value": fn(*args)}
+
+
+def _lemma2_exact(big_d, r):
+    value, profile = theory.lemma2_min_exact(big_d, r)
+    return {"value": value, "argmin": list(profile.ell)}
+
+
+def _lemma2_lagrange(big_d, r):
+    sol = theory.lemma2_min_lagrange(big_d, r)
+    return {"value": sol.value, "ratios": sol.ratios, "ell": sol.ell,
+            "residual": sol.residual}
+
+
+def _janson_k0(n, d, r, epsilon):
+    return {"value": theory.janson_k0(theory.TheoryParams(n, d, r, epsilon))}
+
+
+def _janson_mu(n, d, r, epsilon, k):
+    params = theory.TheoryParams(n, d, r, epsilon)
+    return {"value": theory.janson_mu(params, k)}
+
+
+# formula -> (its keys and their types in call order, the call that turns
+# their values into the result fields)
 _FORMULAS = {
-    "iterated-log": (("x", float), ("k", int)),
-    "d-star": (("n", int), ("r", int)),
-    "u-value": (("ell", str), ("d", float)),
-    "log-u": (("ell", str), ("d", float)),
-    "degree-pmf": (("d", float), ("r", int), ("D", int)),
-    "lemma2-exact": (("D", int), ("r", int)),
-    "lemma2-lagrange": (("D", float), ("r", int)),
-    "janson-k0": (("n", int), ("d", float), ("r", int), ("epsilon", float)),
-    "janson-mu": (("n", int), ("d", float), ("r", int), ("epsilon", float),
-                  ("k", int)),
-    "aks-bound": (("delta", float), ("t", float), ("c", float)),
+    "iterated-log": ({"x": float, "k": int}, _value(theory.iterated_log)),
+    "d-star": ({"n": int, "r": int}, _value(theory.d_star)),
+    "u-value": ({"ell": _profile, "d": float}, _value(theory.u_value)),
+    "log-u": ({"ell": _profile, "d": float}, _value(theory.log_u)),
+    "degree-pmf": ({"d": float, "r": int, "D": int},
+                   _value(theory.degree_sum_pmf)),
+    "lemma2-exact": ({"D": int, "r": int}, _lemma2_exact),
+    "lemma2-lagrange": ({"D": float, "r": int}, _lemma2_lagrange),
+    "janson-k0": ({"n": int, "d": float, "r": int, "epsilon": float},
+                  _janson_k0),
+    "janson-mu": ({"n": int, "d": float, "r": int, "epsilon": float, "k": int},
+                  _janson_mu),
+    "aks-bound": ({"delta": float, "t": float, "c": float},
+                  _value(theory.aks_chi_bound)),
 }
+# the keys a formula may leave out
+_DEFAULTS = {"epsilon": 0.1, "c": 1.0}
 
 
 def _eval_formula(formula, params):
     if formula not in _FORMULAS:
         raise ConfigError(f"unknown formula {formula!r}")
+    types, call = _FORMULAS[formula]
     kv = {}
     for item in params:
         if "=" not in item:
@@ -126,57 +172,22 @@ def _eval_formula(formula, params):
         key, val = item.split("=", 1)
         _require(key not in kv, f"{formula}: {key}= is given twice")
         kv[key] = val
-    casters = dict(_FORMULAS[formula])
     for key in kv:
-        _require(key in casters, f"{formula} does not take {key}=...; it takes "
-                                 f"{', '.join(casters)}")
-
-    def arg(name, default=None):
-        if name not in kv:
-            if default is not None:
-                return default
-            raise ConfigError(f"{formula} needs {name}=...")
+        _require(key in types, f"{formula} does not take {key}=...; it takes "
+                               f"{', '.join(types)}")
+    args = []
+    for key, cast in types.items():
+        if key not in kv:
+            _require(key in _DEFAULTS, f"{formula} needs {key}=...")
+            args.append(_DEFAULTS[key])
+            continue
         try:
-            return casters[name](kv[name])
+            args.append(cast(kv[key]))
         except ValueError:
-            raise ConfigError(f"{formula}: {name}={kv[name]!r} does not parse "
-                              f"as {casters[name].__name__}") from None
-
-    if formula == "iterated-log":
-        value = theory.iterated_log(arg("x"), arg("k"))
-    elif formula == "d-star":
-        value = theory.d_star(arg("n"), arg("r"))
-    elif formula in ("u-value", "log-u"):
-        try:
-            ell = tuple(int(x) for x in arg("ell").split(",") if x != "")
-        except ValueError:
-            raise ConfigError(f"{formula}: ell={kv['ell']!r} is not a "
-                              "comma-separated list of integers") from None
-        fn = theory.u_value if formula == "u-value" else theory.log_u
-        value = fn(ell, arg("d"))
-    elif formula == "degree-pmf":
-        value = theory.degree_sum_pmf(arg("d"), arg("r"), arg("D"))
-    elif formula == "lemma2-exact":
-        value, profile = theory.lemma2_min_exact(arg("D"), arg("r"))
-        return {"formula": formula, "inputs": kv, "value": value,
-                "argmin": list(profile.ell)}
-    elif formula == "lemma2-lagrange":
-        sol = theory.lemma2_min_lagrange(arg("D"), arg("r"))
-        return {"formula": formula, "inputs": kv, "value": sol.value,
-                "ratios": sol.ratios, "ell": sol.ell,
-                "residual": sol.residual}
-    elif formula == "janson-k0":
-        params_t = theory.TheoryParams(arg("n"), arg("d"), arg("r"),
-                                       arg("epsilon", 0.1))
-        value = theory.janson_k0(params_t)
-    elif formula == "janson-mu":
-        params_t = theory.TheoryParams(arg("n"), arg("d"), arg("r"),
-                                       arg("epsilon", 0.1))
-        value = theory.janson_mu(params_t, arg("k"))
-    else:  # aks-bound
-        value = theory.aks_chi_bound(arg("delta"), arg("t"),
-                                     arg("c", 1.0))
-    return {"formula": formula, "inputs": kv, "value": value}
+            what = ("is not a comma-separated list of integers"
+                    if cast is _profile else f"does not parse as {cast.__name__}")
+            raise ConfigError(f"{formula}: {key}={kv[key]!r} {what}") from None
+    return {"formula": formula, "inputs": kv, **call(*args)}
 
 
 def _cmd_sample(args):
@@ -238,8 +249,9 @@ def _cmd_color(args):
     _require(args.edge_cap >= 0, "--edge-cap must be >= 0")
     _require(args.chi_budget >= 0, "--chi-budget must be >= 0")
     g = _read_graph(args.infile)
+    gp = graph_power(g, args.r, edge_cap=args.edge_cap)
     if args.method == "greedy":
-        c = col.greedy_power_coloring(g, args.r)
+        c = col.greedy_coloring_explicit(gp, radius=args.r)
     elif args.method == "two-phase":
         try:
             c = col.two_phase_power_coloring(g, args.r)
@@ -248,7 +260,6 @@ def _cmd_color(args):
                               "cycle": exc.cycle}), file=sys.stderr)
             return 1
     else:
-        gp = graph_power(g, args.r, edge_cap=args.edge_cap)
         chi, c = col.dsatur_chromatic_exact(gp, node_budget=args.chi_budget)
         c = col.Coloring(c.colors, c.palette_size, args.r)
     proper, witness = col.verify_proper_power_coloring(g, args.r, c)
@@ -262,13 +273,12 @@ def _cmd_color(args):
 
 def _cmd_eval(args):
     if args.batch:
-        with open(args.batch) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                print(json.dumps(_eval_formula(parts[0], parts[1:])))
+        for line in experiments._read_lines(args.batch):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            print(json.dumps(_eval_formula(parts[0], parts[1:])))
         return 0
     if args.formula is None:
         raise ConfigError("give a formula or --batch FILE")
@@ -277,15 +287,10 @@ def _cmd_eval(args):
 
 
 def _cmd_experiment(args):
-    # the flag is set after the config is built, so its checks do not run
-    _require(args.workers is None or args.workers >= 1,
-             "--workers must be >= 1")
     cfg = experiments.parse_config_file(args.config)
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.out is not None:
-        cfg.out = args.out
-    summary, _ = experiments.run_experiment(cfg)
+    flags = {key: getattr(args, key) for key in ("workers", "out")
+             if getattr(args, key) is not None}
+    summary, _ = experiments.run_experiment(dataclasses.replace(cfg, **flags))
     print(json.dumps(summary))
     return 0
 
@@ -302,24 +307,9 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "power":
-            return _cmd_power(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "color":
-            return _cmd_color(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "verify-theorem":
-            return _cmd_verify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from . import coloring as col
 from . import metrics, theory
@@ -99,25 +99,45 @@ class TrialRecord:
     wall_ms: float = 0.0  # volatile; excluded from serialized output
 
 
+def _parse_bool(text):
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# a config value parses by the annotation of its ExperimentConfig field
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+
+
+def _read_lines(path):
+    """The lines of a text file; a file that is not UTF-8 is a config error."""
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from None
+
+
 def parse_config_file(path) -> ExperimentConfig:
     """Flat ``key = value`` config text; '#' comments; unknown keys error."""
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    known = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                raw[key] = _coerce(key, value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    for lineno, line in enumerate(_read_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            raw[key] = known[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     if "d" in raw and "p" in raw:
         raise ConfigError(f"{path}: give only one of d or p")
     if "kind" not in raw:
@@ -126,20 +146,6 @@ def parse_config_file(path) -> ExperimentConfig:
         return ExperimentConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _coerce(key, text):
-    if key in ("kind", "sample_mode", "out", "fmt"):
-        return text
-    if key == "measure_z":
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(text)
-    if key in ("d", "p", "epsilon"):
-        return float(text)
-    return int(text)
 
 
 # -- per-trial measurement --------------------------------------------------
@@ -169,7 +175,7 @@ def _measure_delta(cfg, g):
 
 
 def _two_phase_or_greedy(cfg, g):
-    """(palette, two_phase_ok); greedy fallback when the forest check fails."""
+    """(coloring, two_phase_ok); greedy fallback when the forest check fails."""
     try:
         c = col.two_phase_power_coloring(g, cfg.r)
         return c, True
@@ -284,14 +290,6 @@ KINDS = tuple(_MEASURE)
 # -- campaign driver -------------------------------------------------------
 
 
-def _pool_trial(args):
-    cfg_dict, trial = args
-    # both d and p pass through unchanged so worker trials are bit-identical
-    # to serial ones
-    cfg_dict = dict(cfg_dict, workers=1, out=None)
-    return run_single_trial(ExperimentConfig(**cfg_dict), trial)
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Run all trials; returns (summary, records) and writes cfg.out if set.
 
@@ -299,10 +297,9 @@ def run_experiment(cfg: ExperimentConfig):
     at any worker count.
     """
     if cfg.workers > 1:
-        base = asdict(cfg)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_pool_trial,
-                                    [(base, t) for t in range(cfg.trials)]))
+            records = list(pool.map(run_single_trial, [cfg] * cfg.trials,
+                                    range(cfg.trials)))
     else:
         records = [run_single_trial(cfg, t) for t in range(cfg.trials)]
     records.sort(key=lambda rec: rec.trial)
@@ -562,11 +559,10 @@ def _verify_th4(seed=1, workers=1, n=4000, d=60.0, r=2, trials=10):
             "passed": ok}
 
 
-def _verify_lemma_clique(seed=1, workers=1, n=150, d=3.0, r_list=(2, 3),
-                         trials=100):
+def _verify_lemma_clique(seed=1, workers=1, n=150, d=3.0, trials=100):
     reports = []
     passed = True
-    for idx, r in enumerate(r_list):
+    for idx, r in enumerate((2, 3)):
         cfg = ExperimentConfig(kind="clique-sandwich", n=n, d=d, r=r,
                                trials=trials, seed=derive_seed(seed, idx),
                                workers=workers)
@@ -577,17 +573,16 @@ def _verify_lemma_clique(seed=1, workers=1, n=150, d=3.0, r_list=(2, 3),
     return {"theorem": "lemma-clique", "per_radius": reports, "passed": passed}
 
 
-def _verify_degree_pmf(seed=1, workers=1, n=10 ** 5, d=2.0, r=2, trials=200,
-                       degree_cap=15, min_expected=5.0):
+def _verify_degree_pmf(seed=1, workers=1, n=10 ** 5, d=2.0, r=2, trials=200):
     cfg = ExperimentConfig(kind="degree-pmf", n=n, d=d, r=r, trials=trials,
-                           seed=seed, workers=workers, degree_cap=degree_cap)
+                           seed=seed, workers=workers)
     summary, records = run_experiment(cfg)
     checks = []
     passed = True
-    for k in range(degree_cap + 1):
+    for k in range(cfg.degree_cap + 1):
         pmf = summary["pmf"][k]
         expected = pmf * n * trials
-        if expected < min_expected:
+        if expected < 5.0:
             continue
         samples = [rec.values[f"count_{k}"] / n for rec in records]
         mean, se = _stats_se(samples)

@@ -90,7 +90,9 @@ def _max_clique_bitset(n, adjbits, node_budget):
     best = 0
     nodes = 0
 
-    def expand(size, cand):
+    def enter(size, cand):
+        """Count a search node; return its frame [size, candidates, order,
+        bounds, next index], or None when it is a leaf."""
         nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
@@ -98,7 +100,7 @@ def _max_clique_bitset(n, adjbits, node_budget):
         if cand == 0:
             if size > best:
                 best = size
-            return
+            return None
         order = []
         bounds = []
         uncolored = cand
@@ -113,16 +115,26 @@ def _max_clique_bitset(n, adjbits, node_budget):
                 uncolored &= ~vbit
                 order.append(v)
                 bounds.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = order[i]
-            expand(size + 1, cand & adjbits[v])
-            cand &= ~(1 << v)
+        return [size, cand, order, bounds, len(order) - 1]
 
     if n == 0:
         return 0
-    expand(0, (1 << n) - 1)
+    # depth-first over an explicit stack, one frame per clique vertex, so
+    # the search depth (up to n) does not depend on Python's recursion limit;
+    # a frame branches on its vertices from the last colored to the first
+    stack = [enter(0, (1 << n) - 1)]
+    while stack:
+        frame = stack[-1]
+        size, cand, order, bounds, i = frame
+        if i < 0 or size + bounds[i] <= best:
+            stack.pop()
+            continue
+        v = order[i]
+        frame[1] = cand & ~(1 << v)
+        frame[4] = i - 1
+        child = enter(size + 1, cand & adjbits[v])
+        if child is not None:
+            stack.append(child)
     return best
 
 

@@ -223,11 +223,10 @@ def lemma2_min_exact(big_d, r):
     prefix ending in m with S left to place, the cost of the last two layers
     (x, S - x) is convex in x (l log(l/m) is jointly convex), so a binary
     search on its forward difference finds the smallest minimiser x* and
-    only x* - 2..x* + 2 are scored with ``layer_entropy``.  Where that
-    search would cost more than scoring every x in 1..S, all are scored.
-    The result, value and argmin, is bit-identical to scoring every
-    composition.  Each evaluation is one unit of work (a search is charged
-    its longest run); past DEFAULT_ENUM_WORK_CAP units it raises
+    only x* - 2..x* + 2 are scored with ``layer_entropy``.  The result,
+    value and argmin, is bit-identical to scoring every composition.  Each
+    evaluation is one unit of work (a search is charged its longest run,
+    two per probe); past DEFAULT_ENUM_WORK_CAP units it raises
     BudgetExceededError, before any evaluation when the profiles and
     prefixes alone pass the cap.  r = 3 runs to about D = 10^5 and r = 4
     to about D = 700.
@@ -264,17 +263,14 @@ def lemma2_min_exact(big_d, r):
                 prefix, s = parts[:-1], parts[-1]
                 m = prefix[-1] if prefix else 1
                 lo, hi = 1, s
-                probes = (s - 1).bit_length()
-                if 2 * probes + 5 < s:
-                    while lo < hi:   # smallest x with f(x + 1) >= f(x), or s
-                        mid = (lo + hi) // 2
-                        if _tail_cost(mid + 1, s, m) >= _tail_cost(mid, s, m):
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                    lo, hi = max(1, lo - 2), min(s, lo + 2)
-                    charge(2 * probes)
-                charge(hi - lo)
+                while lo < hi:   # smallest x with f(x + 1) >= f(x), or s
+                    mid = (lo + hi) // 2
+                    if _tail_cost(mid + 1, s, m) >= _tail_cost(mid, s, m):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                lo, hi = max(1, lo - 2), min(s, lo + 2)
+                charge(2 * (s - 1).bit_length() + hi - lo)
                 candidates = [prefix + (x, s - x) for x in range(lo, hi + 1)]
             best = min(best, *((layer_entropy(ell), ell) for ell in candidates))
     return best[0], DegreeProfile(best[1])

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -14,6 +15,7 @@ from graphpower import (RandomSource, experiments, gnp_sample, read_edgelist,
 from graphpower.cli import main
 
 from compositions import feasible_compositions
+from test_graph import path_graph, star_graph
 
 
 def run(capsys, *argv):
@@ -97,6 +99,34 @@ class TestPowerAndStats:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == "error: explicit power exceeds edge cap 1\n"
+
+    def test_color_dsatur_deep_clique(self, tmp_path, capsys):
+        # the square of a star is K_1100: its clique search goes 1100 deep
+        graph = tmp_path / "star.txt"
+        write_edgelist(star_graph(1099), graph)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, rep = run(capsys, "color", "--in", str(graph), "--r", "2",
+                            "--method", "dsatur-exact")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0 and rep["palette"] == 1100 and rep["proper"]
+
+    @pytest.mark.parametrize("method", ["greedy", "two-phase"])
+    def test_color_over_edge_cap_exit_1(self, tmp_path, capsys, method):
+        # P5 passes the two-phase forest check; its square has 7 edges
+        graph, out = tmp_path / "p5.txt", tmp_path / "c.txt"
+        write_edgelist(path_graph(5), graph)
+        argv = ["color", "--in", str(graph), "--r", "2", "--method", method,
+                "--out", str(out)]
+        code, rep = run(capsys, *argv, "--edge-cap", "7")
+        assert code == 0 and rep["proper"] and out.exists()
+        out.unlink()
+        assert main(argv + ["--edge-cap", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: explicit power exceeds edge cap 6\n"
 
     def test_missing_file_io_error(self):
         assert main(["stats", "--in", "/nonexistent", "--r", "2"]) == 3
@@ -227,6 +257,15 @@ class TestEval:
         assert captured.err == "error: k must be >= 0, got -3\n"
         assert captured.out == ""
 
+    def test_undecodable_batch_exit_2(self, tmp_path, capsys):
+        batch = tmp_path / "batch.txt"
+        batch.write_bytes(b"d-star n=1000000 r=2\n\x7fELF\xff\xfe\n")
+        assert main(["eval", "--batch", str(batch)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"config error: {batch}: ")
+
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.txt"
         batch.write_text("# two evaluations\n"
@@ -249,6 +288,15 @@ class TestExperimentCommand:
                             "--out", str(out))
         assert code == 0 and summary["trials"] == 2
         assert out.exists()
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"kind = delta-concentration\n\x7fELF\xff\xfe\n")
+        assert main(["experiment", "run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"config error: {cfg}: ")
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

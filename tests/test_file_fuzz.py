@@ -1,16 +1,21 @@
-"""Mangled edge-list, DIMACS and coloring files.
+"""Mangled edge-list, DIMACS, coloring, experiment-config and eval-batch
+files.
 
 Each example starts from a valid file and mangles it: lines dropped,
 duplicated or swapped, tokens replaced, lines inserted, the text cut short
 and stray bytes (bad UTF-8 among them) spliced in.  The graph files go
 through ``main()`` to every command that reads one (``stats``, ``color``
-and ``power``), which may exit 0-3 and must never leak an exception.  No
-command reads a coloring file, so ``read_coloring`` is held to its own
+and ``power``), the config files to ``experiment run`` and the batch files
+to ``eval --batch``; each may exit 0-3 and must never leak an exception.
+No command reads a coloring file, so ``read_coloring`` is held to its own
 contract: a Coloring or a ValueError.
 
 The token pool holds no vertex count between the test's 12 and the int64
 key limit (about 3e9): such a header names a graph the machine would try to
-build, which is real work, not a malformed file.
+build, which is real work, not a malformed file.  Config and batch lines
+are written as ``key=value`` tokens, so a replaced token never keeps its
+key and takes a pool value: no n, r or trials grows past the valid file's.
+The junk bytes hold no digit, so a splice cannot enlarge a value either.
 """
 
 import contextlib
@@ -50,6 +55,30 @@ def _valid_texts():
 
 
 VALID = _valid_texts()
+
+# one tiny campaign per kind, n <= 20 and one trial
+CONFIGS = [
+    "kind=delta-concentration\nn=20\nd=2\nr=2\ntrials=1\nseed=1\n",
+    "kind=chi2-equality\nn=20\nd=2\nr=2\ntrials=1\nseed=1\n"
+    "measure_z=true\n",
+    "kind=chi-sandwich\nn=20\nd=2\nr=3\ntrials=1\nseed=2\n",
+    "kind=clique-sandwich\nn=20\nd=3\nr=2\ntrials=1\nseed=3\n"
+    "clique_budget=1000\n",
+    "kind=dense-chi\nn=20\nd=5\nr=2\ntrials=1\nseed=4\nfmt=csv\n",
+    "kind=degree-pmf\nn=20\np=0.1\nr=2\ntrials=1\nseed=5\ndegree_cap=4\n"
+    "sample_mode=skip\n",
+]
+BATCH = ("# every formula once\n"
+         "iterated-log x=2.718281828459045 k=1\n"
+         "d-star n=1000000 r=2\n"
+         "u-value ell=1,2 d=2\n"
+         "log-u ell=1,2 d=2\n"
+         "degree-pmf d=2 r=2 D=20\n"
+         "lemma2-exact D=40 r=3\n"
+         "lemma2-lagrange D=1000 r=2\n"
+         "janson-k0 n=1000 d=10 r=2\n"
+         "janson-mu n=1000 d=10 r=1 epsilon=0.5 k=100\n"
+         "aks-bound delta=10000 t=100\n")
 
 
 @st.composite
@@ -111,6 +140,36 @@ def test_mangled_graph_file_exits_0_to_3(case):
                 assert path in err
 
 
+def _exits_0_to_3(argv):
+    code, err = run_main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error: ")
+
+
+@SETTINGS
+@example(CONFIGS[0].encode() + b"\xff\n")  # not UTF-8
+@given(st.sampled_from(CONFIGS).flatmap(mangled))
+def test_mangled_config_file_exits_0_to_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _exits_0_to_3(["experiment", "run", path])
+
+
+@SETTINGS
+@example(BATCH.encode() + b"\xc3\n")  # not UTF-8
+@given(mangled(BATCH))
+def test_mangled_batch_file_exits_0_to_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "batch.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _exits_0_to_3(["eval", "--batch", path])
+
+
 @SETTINGS
 @example(b"s 2\nc 0 0\n")  # a short line
 @given(mangled(VALID["c.txt"]))
@@ -139,3 +198,12 @@ def test_valid_files_pass():
         with open(path, "w") as fh:
             fh.write(VALID["c.txt"])
         assert read_coloring(path).palette_size > 0
+        path = os.path.join(tmp, "exp.cfg")
+        for text in CONFIGS:
+            with open(path, "w") as fh:
+                fh.write(text)
+            assert run_main(["experiment", "run", path])[0] == 0
+        path = os.path.join(tmp, "batch.txt")
+        with open(path, "w") as fh:
+            fh.write(BATCH)
+        assert run_main(["eval", "--batch", path])[0] == 0

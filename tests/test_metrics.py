@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from graphpower import (BudgetExceededError, Graph, RandomSource,
@@ -108,6 +110,20 @@ class TestExactClique:
         g = gnp_sample(60, 0.5, RandomSource(7))
         with pytest.raises(BudgetExceededError):
             max_clique_exact(g, node_budget=3)
+
+    @pytest.mark.parametrize("solver,graph", [
+        (max_clique_exact, lambda: complete_graph(1100)),
+        (independence_number, lambda: Graph.from_edges(1100, [])),
+    ], ids=["clique", "independence"])
+    def test_deep_search_needs_no_recursion(self, solver, graph):
+        # the search goes one frame deeper per vertex of the clique: 1100
+        g = graph()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert solver(g) == 1100
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_random_vs_bruteforce(self):
         from itertools import combinations
