@@ -15,8 +15,8 @@ from . import coloring as col
 from . import experiments, metrics, theory
 from .errors import (BudgetExceededError, ConfigError, ForestViolationError,
                      GraphPowerError, MemoryBudgetError)
-from .graph import (gnp_sample, graph_power, read_dimacs, read_edgelist,
-                    write_dimacs, write_edgelist)
+from .graph import (gnp_sample, graph_power, power_table, read_dimacs,
+                    read_edgelist, write_dimacs, write_edgelist)
 from .rng import RandomSource
 
 
@@ -225,12 +225,13 @@ def _cmd_stats(args):
         _require(args.cycle_s >= 0, "--cycle-s must be >= 0")
         _require(args.cycle_t >= 3, "--cycle-t must be >= 3")
     g = _read_graph(args.infile)
+    degrees, _ = power_table(g, args.r, None)
     out = {"n": g.n, "m": g.m, "r": args.r}
     for s in range(1, args.r + 1):
-        summary = metrics.power_max_degree(g, s)
-        out[f"delta_{s}"] = summary.delta
-        out[f"argmax_{s}"] = summary.argmax
-    out["clique_lower_bound"] = metrics.clique_lower_bound(g, args.r)
+        top = metrics.power_max_degree(degrees, s)
+        out[f"delta_{s}"] = top.delta
+        out[f"argmax_{s}"] = top.argmax
+    out["clique_lower_bound"] = metrics.clique_lower_bound(degrees, args.r)
     if args.codegree:
         layer, power = metrics.codegree_max(g, args.r)
         out["layer_codegree"] = layer
@@ -249,12 +250,12 @@ def _cmd_color(args):
     _require(args.edge_cap >= 0, "--edge-cap must be >= 0")
     _require(args.chi_budget >= 0, "--chi-budget must be >= 0")
     g = _read_graph(args.infile)
-    gp = graph_power(g, args.r, edge_cap=args.edge_cap)
+    degrees, gp = power_table(g, args.r, args.edge_cap)
     if args.method == "greedy":
         c = col.greedy_coloring_explicit(gp, radius=args.r)
     elif args.method == "two-phase":
         try:
-            c = col.two_phase_power_coloring(g, args.r)
+            c = col.two_phase_power_coloring(g, args.r, degrees, gp)
         except ForestViolationError as exc:
             print(json.dumps({"error": "forest-violation",
                               "cycle": exc.cycle}), file=sys.stderr)
@@ -262,7 +263,7 @@ def _cmd_color(args):
     else:
         chi, c = col.dsatur_chromatic_exact(gp, node_budget=args.chi_budget)
         c = col.Coloring(c.colors, c.palette_size, args.r)
-    proper, witness = col.verify_proper_power_coloring(g, args.r, c)
+    proper, witness = col.verify_proper_power_coloring(gp, c)
     if args.out:
         col.write_coloring(c, args.out)
     print(json.dumps({"method": args.method, "palette": c.palette_size,

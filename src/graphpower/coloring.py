@@ -2,9 +2,9 @@
 
 Greedy on the rows of an explicit power (one loop over the CSR arrays
 serves both G^r and any explicit graph), exact chromatic number via DSATUR
-branch-and-bound on an explicit graph, and the constructive two-phase
-coloring that achieves Delta(G^{r-1}) + 1 colors when the high-degree
-subgraph is a forest.
+branch-and-bound on an explicit graph, the constructive two-phase coloring
+that achieves Delta(G^{r-1}) + 1 colors when the high-degree subgraph is a
+forest, and the verifier, both on the power one kernel pass builds.
 
 Tie-breaking is smallest-index / smallest-color everywhere, so runs are
 reproducible and witnesses stable.
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
-from .graph import (Graph, _power_blocks, graph_power, induced_subgraph,
-                    is_forest, neighborhood_union)
+from .graph import (Graph, graph_power, induced_subgraph, is_forest,
+                    neighborhood_union)
 from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
                       power_max_degree)
 
@@ -205,23 +205,22 @@ def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET):
     return best, Coloring(best_colors, best, 1)
 
 
-def two_phase_power_coloring(g: Graph, r) -> Coloring:
-    """Constructive coloring of G^r with at most Delta(G^{r-1}) + 1 colors.
+def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
+    """Constructive coloring of G^r with at most Delta(G^{r-1}) + 1 colors,
+    from the degree table and G^r = ``gp`` of one ``power_table`` pass.
 
     Phase 1 colors the high-degree set S over the forest induced by
     S and its radius-r neighborhood, trees rooted at their smallest vertex
-    and traversed in BFS order.  Phase 2 colors the remaining vertices
-    greedily in increasing index order.  Both phases run the greedy on the
-    rows of one explicit G^r, built only once the forest check has passed.
+    and traversed in BFS order.  Phase 2 colors the remaining vertices in
+    increasing index order.  Both run the greedy on the rows of ``gp``.
     Raises ForestViolationError (with a witness cycle in original indices)
-    when the forest condition of the construction fails; callers may fall
-    back to plain greedy.
+    when the forest condition fails; callers may fall back to greedy.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
     n = g.n
-    delta_prev = power_max_degree(g, r - 1).delta
-    s_set = high_degree_set(g, r, delta_prev)
+    delta_prev = power_max_degree(degrees, r - 1).delta
+    s_set = high_degree_set(degrees, r, delta_prev)
 
     phase1 = []
     if s_set:
@@ -250,7 +249,6 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
         in_s = set(s_set)
         phase1 = [closure[x] for x in walk if closure[x] in in_s]
 
-    gp = graph_power(g, r)
     colors = np.full(n, -1, dtype=np.int64)
     _greedy_fill(gp, phase1, colors)
     # phase 2: all remaining vertices, increasing index order
@@ -264,26 +262,22 @@ def two_phase_power_coloring(g: Graph, r) -> Coloring:
     return Coloring(colors.tolist(), palette, r)
 
 
-def verify_proper_power_coloring(g: Graph, r, coloring: Coloring):
-    """(True, None) iff no two vertices at G-distance <= r share a color;
-    otherwise (False, first violating pair).
+def verify_proper_power_coloring(gp: Graph, coloring: Coloring):
+    """(True, None) iff no two vertices adjacent in the explicit power
+    ``gp`` = G^r share a color; otherwise (False, first violating pair).
 
-    The rows of the power kernel, scanned in order, give the first
-    violating pair (v, w), w > v, in lexicographic order.
+    Compares ``color[rows]`` with ``color[indices]`` on the CSR arrays.  A
+    clash shows first in the row of its smaller end, so the first in row
+    order is the lexicographically first violating pair (v, w), w > v.
     """
-    n = g.n
-    colors = coloring.colors
-    if len(colors) != n:
+    color = np.asarray(coloring.colors, dtype=np.int64)
+    if color.size != gp.n:
         raise ValueError("coloring size mismatch")
-    color = np.asarray(colors)
-    for start, _, keys in _power_blocks(g, r):
-        v = keys // n
-        w = keys - v * n
-        v += start
-        clash = np.flatnonzero((w > v) & (color[w] == color[v]))
-        if clash.size:
-            return False, (int(v[clash[0]]), int(w[clash[0]]))
-    return True, None
+    clash = np.flatnonzero(np.repeat(color, gp.degrees()) == color[gp.indices])
+    if not clash.size:
+        return True, None
+    v = int(np.searchsorted(gp.indptr, clash[0], side="right")) - 1
+    return False, (v, int(gp.indices[clash[0]]))
 
 
 # -- serialization ---------------------------------------------------------

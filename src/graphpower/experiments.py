@@ -17,13 +17,16 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+
+import numpy as np
 
 from . import coloring as col
 from . import metrics, theory
 from .errors import (BudgetExceededError, ConfigError, DomainError,
                      ForestViolationError)
-from .graph import ball, gnp_sample, graph_power, induced_subgraph
+from .graph import (DEFAULT_EDGE_CAP, ball, gnp_sample, graph_power,
+                    induced_subgraph, power_table)
 from .rng import RandomSource, derive_seed
 
 # fields that define the experiment semantically (hashed into every record
@@ -140,12 +143,10 @@ def parse_config_file(path) -> ExperimentConfig:
                 f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     if "d" in raw and "p" in raw:
         raise ConfigError(f"{path}: give only one of d or p")
-    if "kind" not in raw:
-        raise ConfigError(f"{path}: missing required key 'kind'")
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
+    return ExperimentConfig(**raw)
 
 
 # -- per-trial measurement --------------------------------------------------
@@ -165,29 +166,31 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 
 def _measure_delta(cfg, g):
+    degrees, _ = power_table(g, cfg.r, None)
     values = {}
     for s in range(1, cfg.r + 1):
-        values[f"delta_{s}"] = metrics.power_max_degree(g, s).delta
+        values[f"delta_{s}"] = metrics.power_max_degree(degrees, s).delta
     ds = theory.d_star(cfg.n, cfg.r)
     values["d_star"] = ds
     values["ratio"] = values[f"delta_{cfg.r}"] / ds
     return values, {f"delta_{s}": True for s in range(1, cfg.r + 1)}
 
 
-def _two_phase_or_greedy(cfg, g):
-    """(coloring, two_phase_ok); greedy fallback when the forest check fails."""
+def _color_power(cfg, g):
+    """(degree table, coloring, two_phase_ok, proper) from one pass over
+    G^r under the default cap; greedy on it when the forest check fails."""
+    degrees, gp = power_table(g, cfg.r, DEFAULT_EDGE_CAP)
     try:
-        c = col.two_phase_power_coloring(g, cfg.r)
-        return c, True
+        c, ok = col.two_phase_power_coloring(g, cfg.r, degrees, gp), True
     except ForestViolationError:
-        return col.greedy_power_coloring(g, cfg.r), False
+        c, ok = col.greedy_coloring_explicit(gp, radius=cfg.r), False
+    proper, _ = col.verify_proper_power_coloring(gp, c)
+    return degrees, c, ok, proper
 
 
 def _measure_chi2(cfg, g):
-    top = metrics.power_max_degree(g, 1)
-    delta1 = top.delta
-    c, ok = _two_phase_or_greedy(cfg, g)
-    proper, _ = col.verify_proper_power_coloring(g, cfg.r, c)
+    degrees, c, ok, proper = _color_power(cfg, g)
+    top = metrics.power_max_degree(degrees, 1)
     # lower-bound certificate: exact chromatic number of the square of the
     # subgraph induced by the radius-2 ball around a max-degree vertex
     sub, _ = induced_subgraph(g, ball(g, top.argmax, 2))
@@ -198,11 +201,11 @@ def _measure_chi2(cfg, g):
     except BudgetExceededError as exc:
         cert, cert_exact = exc.lower or 0, False
     values = {
-        "delta_1": delta1,
+        "delta_1": top.delta,
         "two_phase_ok": ok,
         "palette": c.palette_size,
         "proper": proper,
-        "equality": ok and c.palette_size == delta1 + 1,
+        "equality": ok and c.palette_size == top.delta + 1,
         "cert_chi": cert,
         "cert_matches": ok and cert == c.palette_size,
     }
@@ -211,10 +214,9 @@ def _measure_chi2(cfg, g):
 
 def _measure_chi_sandwich(cfg, g):
     r = cfg.r  # >= 2, as the config requires
-    deltas = {s: metrics.power_max_degree(g, s).delta
+    degrees, c, ok, proper = _color_power(cfg, g)
+    deltas = {s: metrics.power_max_degree(degrees, s).delta
               for s in sorted({1, r // 2, r - 1})}
-    c, ok = _two_phase_or_greedy(cfg, g)
-    proper, _ = col.verify_proper_power_coloring(g, r, c)
     clique_lb = deltas[r // 2] + 1
     values = {
         **{f"delta_{s}": v for s, v in deltas.items()},
@@ -230,9 +232,9 @@ def _measure_chi_sandwich(cfg, g):
 
 def _measure_clique_sandwich(cfg, g):
     r = cfg.r
-    lower = metrics.clique_lower_bound(g, r)
-    upper = metrics.power_max_degree(g, (r + 1) // 2).delta + 1
-    gp = graph_power(g, r, edge_cap=cfg.edge_cap)
+    degrees, gp = power_table(g, r, cfg.edge_cap)
+    lower = metrics.clique_lower_bound(degrees, r)
+    upper = metrics.power_max_degree(degrees, (r + 1) // 2).delta + 1
     try:
         omega = metrics.max_clique_exact(gp, node_budget=cfg.clique_budget)
         exact = True
@@ -265,14 +267,10 @@ def _measure_dense_chi(cfg, g):
 
 
 def _measure_degree_pmf(cfg, g):
-    degs = metrics.power_degrees(g, cfg.r)
-    counts = [0] * (cfg.degree_cap + 1)
-    for d in degs:
-        if d <= cfg.degree_cap:
-            counts[d] += 1
+    top = cfg.degree_cap + 1
+    counts = np.bincount(metrics.power_degrees(g, cfg.r), minlength=top)
     values = {"n": cfg.n}
-    for k, c in enumerate(counts):
-        values[f"count_{k}"] = c
+    values.update((f"count_{k}", c) for k, c in enumerate(counts[:top].tolist()))
     return values, {}
 
 
@@ -346,14 +344,12 @@ def summarize(cfg: ExperimentConfig, records) -> dict:
         out["ratio_alpha"] = [rec.values["ratio_alpha"] for rec in records]
         out["ordering_rate"] = _fraction(records, "ordering_ok")
     elif cfg.kind == "degree-pmf":
-        total_n = cfg.n * len(records)
-        freqs = {}
-        for k in range(cfg.degree_cap + 1):
-            freqs[k] = [rec.values[f"count_{k}"] / cfg.n for rec in records]
-        out["mean_freq"] = {k: sum(v) / len(v) for k, v in freqs.items()}
+        out["mean_freq"] = {
+            k: sum(rec.values[f"count_{k}"] / cfg.n for rec in records)
+            / len(records) for k in range(cfg.degree_cap + 1)}
         out["pmf"] = dict(enumerate(theory.degree_pmf(cfg.d, cfg.r,
                                                       cfg.degree_cap)))
-        out["total_observations"] = total_n
+        out["total_observations"] = cfg.n * len(records)
     return out
 
 

@@ -1,7 +1,7 @@
 """Immutable sparse graphs, G(n,p) sampling, the one block driver that runs
-a ball expansion from every root, the (A+I)^r kernel on it behind explicit
-powers and power degrees, balls grown as vertex masks, the forest check,
-and file I/O.
+a ball expansion from every root, the (A+I)^r kernel on it, whose one pass
+gives the power degrees at every radius and the explicit power, balls
+grown as vertex masks, the forest check, and file I/O.
 
 Graphs are stored in compressed-row form (``indptr``/``indices`` a la CSR)
 with strictly sorted adjacency rows, no self-loops and no parallel edges.
@@ -10,6 +10,8 @@ Vertices are 0-indexed everywhere except at the DIMACS boundary, which is
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,9 +93,7 @@ class Graph:
             raise ValueError("self-loop rejected")
         keys = np.sort(u * np.int64(n) + v)
         keys = keys[first_copies(keys)]
-        u = keys // n
-        v = keys % n
-        return cls._from_half_edges(n, u, v)
+        return cls._from_half_edges(n, keys // n, keys % n)
 
     @classmethod
     def _from_half_edges(cls, n, u, v):
@@ -114,18 +114,14 @@ class Graph:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.n:
                 raise ValueError("neighbor index out of range")
-            # strictly sorted rows, no self-loops
-            d = np.diff(self.indices)
-            row_ends = self.indptr[1:-1] - 1
-            interior = np.ones(self.indices.size - 1, dtype=bool)
-            interior[row_ends[row_ends < d.size]] = False
-            if np.any(d[interior] <= 0):
-                raise ValueError("adjacency rows must be strictly sorted")
+            # strictly sorted rows: the keys (u, v) strictly increase
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            k1 = rows * np.int64(self.n) + self.indices
+            if np.any(np.diff(k1) <= 0):
+                raise ValueError("adjacency rows must be strictly sorted")
             if np.any(rows == self.indices):
                 raise ValueError("self-loop rejected")
             # symmetry: the multiset of (u,v) equals the multiset of (v,u)
-            k1 = np.sort(rows * np.int64(self.n) + self.indices)
             k2 = np.sort(self.indices * np.int64(self.n) + rows)
             if not np.array_equal(k1, k2):
                 raise ValueError("adjacency not symmetric")
@@ -178,7 +174,7 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
 
     - ``bernoulli``: one uniform draw per pair in lexicographic order, taken
       from the stream in chunks of ``UNIFORM_CHUNK`` (the same doubles as
-      one draw per row);
+      one draw per row), compared with p as raw 64-bit words;
     - ``skip``: geometric gaps between successive edges over the linearized
       pair index (the standard sparse sampler).
 
@@ -199,8 +195,12 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
         mode = "bernoulli" if total <= 2 ** 21 else "skip"
     rng = src.generator
     if mode == "bernoulli":
+        # rng.random() is (x >> 11) * 2**-53 for the raw 64-bit word x, and
+        # that is below p exactly when x < ceil(p * 2**53) << 11
+        raw = rng.bit_generator.random_raw
+        below = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
         lin = np.concatenate([
-            np.flatnonzero(rng.random(min(UNIFORM_CHUNK, total - s)) < p) + s
+            np.flatnonzero(raw(min(UNIFORM_CHUNK, total - s)) < below) + s
             for s in range(0, total, UNIFORM_CHUNK)])
     elif mode == "skip":
         # geometric-skip over linear pair indices 0..total-1
@@ -264,8 +264,9 @@ def _root_blocks(g: Graph, grow):
     than one root is halved and redone as soon as one expansion would pass
     ``POWER_KEY_BUDGET`` keys, so ``grow`` returns its results only when
     the block passes.  The next block at most doubles the last one and is
-    capped by the budget over the last block's largest expansion per root.
-    Starting from every root rather than one skips the ramp of small
+    aimed at 3/4 of the budget (at the budget itself, every other r = 3
+    block overran): capped by that over the last largest expansion per
+    root.  Starting from every root rather than one skips the ramp of small
     blocks: G(500, 2/n) takes one block instead of nine, and the many small
     arrays of varied size that numpy caches (raising the peak RSS) are not
     made.
@@ -273,6 +274,7 @@ def _root_blocks(g: Graph, grow):
     n = g.n
     indptr = g.indptr
     budget = POWER_KEY_BUDGET
+    aim = budget * 3 // 4
     max_rows = POWER_INT32_KEYS // max(n, 1)
     dtype = np.int32 if max_rows else np.int64
     max_rows = max_rows or n
@@ -304,14 +306,16 @@ def _root_blocks(g: Graph, grow):
             rows //= 2
             continue
         yield start, stop, out
-        rows = min(2 * rows, max(1, budget * rows // max(peak, 1)), max_rows)
+        rows = min(2 * rows, max(1, aim * rows // max(peak, 1)), max_rows)
         start = stop
 
 
 def _power_blocks(g: Graph, r):
-    """The rows of (A+I)^r, a block at a time: yields (start, stop, keys),
-    where ``keys`` holds, sorted, ``local_row * n + v`` for every v within
-    distance r of vertex ``start + local_row``, the vertex itself included.
+    """The rows of (A+I)^r, a block at a time: yields (start, stop, (keys,
+    sizes)), ``keys`` the sorted ``local_row * n + v`` for every v within
+    distance r of vertex ``start + local_row`` (itself included), and
+    ``sizes[k - 1]`` each row's ball size at radius k = 1..h (h < r when a
+    hop reaches nothing).
 
     The ball expansion behind every power, run on :func:`_root_blocks`, in
     the style of Gustavson's row-wise sparse product (ACM TOMS 4(3), 1978).
@@ -320,7 +324,11 @@ def _power_blocks(g: Graph, r):
     after one sort the first copy of each key tells whether it is new; the
     last hop needs no new layer and only sorts and deduplicates.
     """
+    n = g.n
+
     def grow(_, balls, expand):
+        bounds = np.arange(balls.size + 1, dtype=balls.dtype) * n
+        sizes = []
         frontier = balls
         for hop in range(1, r + 1):
             reached, _ = expand(frontier)
@@ -330,48 +338,59 @@ def _power_blocks(g: Graph, r):
             if hop == r:
                 keys = np.concatenate([balls, reached])
                 keys.sort()
-                return np.compress(first_copies(keys), keys)
-            tagged = np.concatenate([balls, reached])
-            tagged <<= 1
-            tagged[balls.size:] |= 1
-            tagged.sort()
-            tagged = np.compress(first_copies(tagged >> 1), tagged)
-            balls = tagged >> 1
-            frontier = np.compress((tagged & 1).astype(bool), balls)
-        return balls
+                balls = np.compress(first_copies(keys), keys)
+            else:
+                tagged = np.concatenate([balls, reached])
+                tagged <<= 1
+                tagged[balls.size:] |= 1
+                tagged.sort()
+                tagged = np.compress(first_copies(tagged >> 1), tagged)
+                balls = tagged >> 1
+                frontier = np.compress((tagged & 1).astype(bool), balls)
+            sizes.append(np.diff(np.searchsorted(balls, bounds)))
+        return balls, sizes
 
     return _root_blocks(g, grow)
 
 
-def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:
-    """Explicit r-th power: u ~ v iff 1 <= dist(u, v) <= r.
+def power_table(g: Graph, r, edge_cap):
+    """One pass of the power kernel: ``(degrees, power)``.
 
-    Built row block by row block from :func:`_power_blocks`, the kernel
-    behind ``power_degrees``; raises :class:`MemoryBudgetError` when the
-    result would exceed ``edge_cap`` edges, as soon as the rows built so far
-    prove it (callers then fall back to implicit metrics).
+    ``degrees[k]`` holds the G^k degrees for k = 0..h, h <= r the last hop
+    that grew a ball, so radius s reads ``degrees[min(s, h)]``.  ``power``
+    is G^r, built from the same blocks; :class:`MemoryBudgetError` past
+    ``edge_cap`` edges, as soon as the rows built so far prove it.  With
+    ``edge_cap`` None no row is kept and ``power`` is None.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if r == 1:
-        if g.m > edge_cap:
-            raise MemoryBudgetError(f"explicit power exceeds edge cap {edge_cap}")
-        return g
     n = g.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    degrees = np.zeros((1, n), dtype=np.int64)
     cols = [np.empty(0, dtype=np.int64)]
     half_edges = 0
-    for start, stop, keys in _power_blocks(g, r):
-        half_edges += keys.size - (stop - start)
-        if half_edges > 2 * edge_cap:
-            raise MemoryBudgetError(
-                f"explicit power exceeds edge cap {edge_cap}")
-        local = keys // n
-        col = keys % n
-        cols.append(col[col != local + start])
-        indptr[start + 1:stop + 1] = np.bincount(local, minlength=stop - start) - 1
-    np.cumsum(indptr, out=indptr)
-    return Graph(n, indptr, np.concatenate(cols), validate=False)
+    for start, stop, (keys, sizes) in _power_blocks(g, r):
+        grown = len(sizes) + 1 - len(degrees)
+        if grown > 0:  # earlier blocks carry their last degrees down
+            degrees = np.pad(degrees, ((0, grown), (0, 0)), mode="edge")
+        for k, size in enumerate(sizes, 1):  # radius k and the ones past it
+            degrees[k:, start:stop] = size - 1
+        if edge_cap is not None:
+            half_edges += keys.size - (stop - start)
+            if half_edges > 2 * edge_cap:
+                raise MemoryBudgetError(
+                    f"explicit power exceeds edge cap {edge_cap}")
+            col = keys % n
+            cols.append(col[col != keys // n + start])
+    if edge_cap is None:
+        return degrees, None
+    indptr = np.concatenate([[0], np.cumsum(degrees[-1])])
+    return degrees, Graph(n, indptr, np.concatenate(cols), validate=False)
+
+
+def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:
+    """Explicit r-th power: u ~ v iff 1 <= dist(u, v) <= r; G itself at
+    r = 1, else the power of :func:`power_table`."""
+    return g if r == 1 and g.m <= edge_cap else power_table(g, r, edge_cap)[1]
 
 
 def ball(g: Graph, v, r):
@@ -418,39 +437,30 @@ def induced_subgraph(g: Graph, s):
 def is_forest(g: Graph):
     """(True, None) if acyclic, else (False, witness cycle vertex list)."""
     adj = g.adjacency_lists()
-    state = [0] * g.n  # 0 unseen, 1 seen
-    parent = [-1] * g.n
+    parent = [None] * g.n  # None unseen, -1 a root
     for start in range(g.n):
-        if state[start]:
+        if parent[start] is not None:
             continue
-        state[start] = 1
-        stack = [(start, -1)]
+        parent[start] = -1
+        stack = [start]
         while stack:
-            u, pu = stack.pop()
-            skipped_parent = False
+            u = stack.pop()
             for w in adj[u]:
-                if w == pu and not skipped_parent:
-                    skipped_parent = True
+                if w == parent[u]:
                     continue
-                if state[w]:
+                if parent[w] is not None:
                     # back edge: walk both endpoints to their common root
                     path_u = [u]
-                    x = u
-                    while parent[x] != -1:
-                        x = parent[x]
-                        path_u.append(x)
+                    while parent[path_u[-1]] != -1:
+                        path_u.append(parent[path_u[-1]])
                     anc = set(path_u)
                     path_w = [w]
-                    x = w
-                    while x not in anc:
-                        x = parent[x]
-                        path_w.append(x)
-                    meet = x
-                    cycle = path_w + path_u[:path_u.index(meet)][::-1]
-                    return False, cycle
-                state[w] = 1
+                    while path_w[-1] not in anc:
+                        path_w.append(parent[path_w[-1]])
+                    meet = path_u.index(path_w[-1])
+                    return False, path_w + path_u[:meet][::-1]
                 parent[w] = u
-                stack.append((w, u))
+                stack.append(w)
     return True, None
 
 

@@ -2,7 +2,8 @@
 of G and its powers, computed implicitly whenever possible: ball expansions
 from every root, run on the one block driver of :mod:`graphpower.graph`,
 count the degrees (the (A+I)^r kernel) and find the co-degrees and the
-short cycles.
+short cycles.  Max degrees, high-degree sets and the clique lower bound
+are reads of the degree table of one :func:`graph.power_table` pass.
 
 All operations are pure functions of an immutable :class:`~graphpower.graph.Graph`.
 Ties in argmax reductions always go to the smallest vertex index.
@@ -33,43 +34,40 @@ class PowerDegreeSummary:
 
 
 def power_degrees(g: Graph, r) -> list:
-    """Degrees in G^r for every vertex: the row nnz of (A+I)^r minus one,
-    counted block by block from the power kernel; the power is never held
-    whole."""
-    if r == 1:
-        return g.degrees().tolist()
-    degs = np.empty(g.n, dtype=np.int64)
-    for start, stop, keys in _power_blocks(g, r):
-        degs[start:stop] = np.bincount(keys // g.n, minlength=stop - start) - 1
+    """Degrees in G^r for every vertex: the last ball sizes of the power
+    kernel minus one, block by block; the power is never held whole."""
+    degs = np.zeros(g.n, dtype=np.int64)
+    for start, stop, (_, sizes) in _power_blocks(g, r):
+        if sizes:
+            degs[start:stop] = sizes[-1] - 1
     return degs.tolist()
 
 
-def power_max_degree(g: Graph, r) -> PowerDegreeSummary:
-    """Exact max degree of G^r without materializing the power."""
-    degs = power_degrees(g, r)
-    if not degs:
+def power_max_degree(degrees, r) -> PowerDegreeSummary:
+    """Max degree of G^r with its argmax, read from a degree table."""
+    row = degrees[min(r, len(degrees) - 1)]
+    if not row.size:
         return PowerDegreeSummary(r, 0, -1)
-    delta = max(degs)
-    argmax = degs.index(delta)  # smallest index wins ties
-    return PowerDegreeSummary(r, delta, argmax)
+    argmax = int(row.argmax())  # smallest index wins ties
+    return PowerDegreeSummary(r, int(row[argmax]), argmax)
 
 
-def high_degree_set(g: Graph, r, threshold) -> list:
-    """Vertices whose G^r-degree strictly exceeds the threshold."""
-    degs = power_degrees(g, r)
-    return [v for v, d in enumerate(degs) if d > threshold]
+def high_degree_set(degrees, r, threshold) -> list:
+    """Vertices whose G^r-degree in a degree table passes the threshold."""
+    return np.flatnonzero(degrees[min(r, len(degrees) - 1)] > threshold).tolist()
 
 
-def clique_lower_bound(g: Graph, r) -> int:
-    """Largest radius-floor(r/2) ball size: a clique in G^r.
+def clique_lower_bound(degrees, r) -> int:
+    """Largest radius-floor(r/2) ball size (a clique in G^r), read from the
+    degree table of G^r.
 
     For r = 1 the ball argument degenerates; any edge gives a 2-clique.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if r == 1:
-        return 2 if g.m > 0 else (1 if g.n > 0 else 0)
-    return power_max_degree(g, r // 2).delta + 1
+        return 2 if degrees[-1].any() else min(degrees.shape[1], 1)
+    return power_max_degree(degrees, r // 2).delta + 1
 
 
 # -- exact clique / independence ------------------------------------------

@@ -20,6 +20,7 @@ from graphpower import (Graph, RandomSource, clique_lower_bound, codegree_max,
                         u_value, verify_theorem)
 from graphpower.coloring import dsatur_chromatic_exact, greedy_coloring_explicit
 from graphpower.experiments import ExperimentConfig
+from graphpower.graph import power_table
 
 SEED = 1
 
@@ -130,7 +131,7 @@ def test_ac4_implicit_explicit_equivalence(capsys):
         adj = g.adjacency_lists()
         gp = graph_power(g, r)
         explicit_delta = int(gp.degrees().max()) if gp.m else 0
-        assert power_max_degree(g, r).delta == explicit_delta
+        assert power_max_degree(power_table(g, r, None)[0], r).delta == explicit_delta
         layer_best = power_best = 0
         for v in range(n):
             layers = _layers_oracle(adj, v, r)
@@ -188,11 +189,12 @@ def test_ac5_deterministic_sandwich(capsys):
                            rng.choice([0.05, 0.1, 0.2]), RandomSource(count))
         r = rng.choice([1, 2, 3])
         gp = graph_power(g, r)
-        lb = clique_lower_bound(g, r)
+        degrees = power_table(g, r, None)[0]
+        lb = clique_lower_bound(degrees, r)
         omega = max_clique_exact(gp)
         chi, _ = dsatur_chromatic_exact(gp)
         greedy = greedy_coloring_explicit(gp).palette_size
-        delta = power_max_degree(g, r).delta
+        delta = power_max_degree(degrees, r).delta
         if not lb <= omega <= chi <= greedy <= delta + 1:
             violations += 1
     elapsed = time.time() - start

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpower import (Coloring, Graph, codegree_max, gnp_sample, graph,
-                        greedy_power_coloring, short_cycle_proximity,
-                        verify_proper_power_coloring)
+                        graph_power, greedy_power_coloring,
+                        short_cycle_proximity, verify_proper_power_coloring)
 from graphpower.metrics import vertices_on_short_cycles
 from graphpower.rng import RandomSource
 
@@ -134,8 +134,9 @@ def test_verifier_equals_the_bfs_walk(data, g, r, lay):
     greedy = greedy_power_coloring(g, r)
     with pytest.MonkeyPatch.context() as mp:
         layout(mp, g, *lay)
-        got = verify_proper_power_coloring(g, r, coloring)
-        assert verify_proper_power_coloring(g, r, greedy) == (True, None)
+        gp = graph_power(g, r)
+        got = verify_proper_power_coloring(gp, coloring)
+        assert verify_proper_power_coloring(gp, greedy) == (True, None)
     assert got == bfs_verify_proper_power_coloring(g, r, colors)
 
 

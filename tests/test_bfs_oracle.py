@@ -131,9 +131,9 @@ def degrees_in_small_blocks(g, r, budget):
     power_blocks = graph._power_blocks
 
     def record(g, r):
-        for start, stop, keys in power_blocks(g, r):
+        for start, stop, rows in power_blocks(g, r):
             yielded.append((start, stop))
-            yield start, stop, keys
+            yield start, stop, rows
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "POWER_KEY_BUDGET", budget)
@@ -146,7 +146,7 @@ def degrees_in_small_blocks(g, r, budget):
         return int(peaks[start:stop].sum(axis=0).max(initial=0))
 
     # the first block tries every row under the row cap; a later one at
-    # most doubles the last one and is capped by budget / peak.  The sizes
+    # most doubles the last one and is capped by 3/4 budget / peak.  The sizes
     # a block was halved from are the ones it tried first, each after the
     # size twice it overran
     blocks = []
@@ -161,7 +161,7 @@ def degrees_in_small_blocks(g, r, budget):
         assert all(block_peak(start, start + t) > budget for t in tried)
         peak = block_peak(start, stop)
         blocks.append((size, peak, tried))
-        rows = min(2 * size, max(1, budget * size // max(peak, 1)), cap)
+        rows = min(2 * size, max(1, budget * 3 // 4 * size // max(peak, 1)), cap)
         start = stop
     assert start == g.n
     # a block may pass the budget only as one row; only larger ones halve
@@ -229,7 +229,7 @@ def test_first_violating_pair(data, g, r):
     expected = next(((v, w) for v in range(g.n)
                      for w in sorted(distances(g, v, r))
                      if w > v and colors[w] == colors[v]), None)
-    assert verify_proper_power_coloring(g, r, coloring) == (
+    assert verify_proper_power_coloring(graph_power(g, r), coloring) == (
         expected is None, expected)
 
 

@@ -298,6 +298,20 @@ class TestExperimentCommand:
         assert captured.out == "" and len(lines) == 1
         assert lines[0].startswith(f"config error: {cfg}: ")
 
+    # a missing n or r once exited 2 with the dataclass's TypeError text,
+    # which named neither the file nor the key
+    @pytest.mark.parametrize("key", ["n", "r"])
+    def test_missing_required_key_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.cfg"
+        lines = {"kind": "delta-concentration", "n": "50", "d": "2", "r": "2"}
+        del lines[key]
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["experiment", "run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {cfg}: missing required "
+                                f"key {key!r}\n")
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kind = no-such-kind\nn = 10\nd = 1\nr = 2\n")

@@ -9,9 +9,23 @@ from graphpower import (BudgetExceededError, Coloring, ForestViolationError,
 from graphpower.coloring import (dsatur_chromatic_exact, dsatur_greedy,
                                  greedy_coloring_explicit, read_coloring,
                                  write_coloring)
+from graphpower.graph import DEFAULT_EDGE_CAP, power_table
 from graphpower.metrics import PowerDegreeSummary, max_clique_exact
 
 from test_graph import complete_graph, cycle_graph, path_graph, star_graph
+
+
+def delta(g, r):
+    """Delta(G^r), read from the degree table of one kernel pass."""
+    return power_max_degree(power_table(g, r, None)[0], r).delta
+
+
+def two_phase(g, r):
+    return two_phase_power_coloring(g, r, *power_table(g, r, DEFAULT_EDGE_CAP))
+
+
+def verify(g, r, c):
+    return verify_proper_power_coloring(graph_power(g, r), c)
 
 
 class TestGreedy:
@@ -48,8 +62,8 @@ class TestGreedy:
             g = gnp_sample(60, 0.05, RandomSource(seed))
             for r in (1, 2, 3):
                 c = greedy_power_coloring(g, r)
-                assert c.palette_size <= power_max_degree(g, r).delta + 1
-                assert verify_proper_power_coloring(g, r, c) == (True, None)
+                assert c.palette_size <= delta(g, r) + 1
+                assert verify(g, r, c) == (True, None)
 
     def test_implicit_matches_explicit(self):
         g = gnp_sample(40, 0.07, RandomSource(6))
@@ -89,7 +103,7 @@ class TestDsatur:
         finally:
             sys.setrecursionlimit(limit)
         assert chi == 3 and col.palette_size == 3
-        assert verify_proper_power_coloring(cycle_graph(1501), 1, col) == (
+        assert verify(cycle_graph(1501), 1, col) == (
             True, None)
 
     def test_exact_budget_carries_bounds(self):
@@ -103,36 +117,36 @@ class TestDsatur:
             chi, col = dsatur_chromatic_exact(gp)
             assert max_clique_exact(gp) <= chi <= dsatur_greedy(gp).palette_size
             assert col.palette_size == chi
-            assert verify_proper_power_coloring(gp, 1, col) == (True, None)
+            assert verify(gp, 1, col) == (True, None)
 
 
 class TestTwoPhase:
     def test_star_r2(self):
         # K_{1,3}: all squared degrees equal 3 > Delta(G) = 3? no -- S empty
-        c = two_phase_power_coloring(star_graph(3), 2)
+        c = two_phase(star_graph(3), 2)
         assert c.palette_size == 4  # ball of radius 2 is everything
-        assert verify_proper_power_coloring(star_graph(3), 2, c) == (True, None)
+        assert verify(star_graph(3), 2, c) == (True, None)
 
     def test_p5_r2(self):
         g = path_graph(5)
-        c = two_phase_power_coloring(g, 2)
-        assert c.palette_size <= power_max_degree(g, 1).delta + 1 == 3
-        assert verify_proper_power_coloring(g, 2, c) == (True, None)
+        c = two_phase(g, 2)
+        assert c.palette_size <= delta(g, 1) + 1 == 3
+        assert verify(g, 2, c) == (True, None)
 
     def test_c9_forest_violation(self):
         with pytest.raises(ForestViolationError) as exc:
-            two_phase_power_coloring(cycle_graph(9), 2)
+            two_phase(cycle_graph(9), 2)
         assert sorted(exc.value.cycle) == list(range(9))
 
     def test_r1_rejected(self):
         with pytest.raises(ValueError):
-            two_phase_power_coloring(path_graph(3), 1)
+            two_phase(path_graph(3), 1)
 
     def test_long_path_r3(self):
         g = path_graph(30)
-        c = two_phase_power_coloring(g, 3)
-        assert c.palette_size <= power_max_degree(g, 2).delta + 1
-        assert verify_proper_power_coloring(g, 3, c) == (True, None)
+        c = two_phase(g, 3)
+        assert c.palette_size <= delta(g, 2) + 1
+        assert verify(g, 3, c) == (True, None)
 
     def test_palette_bound_is_a_real_error(self, monkeypatch):
         # an understated Delta(G^{r-1}) puts every vertex of P5 in S and
@@ -140,7 +154,7 @@ class TestTwoPhase:
         monkeypatch.setattr(coloring, "power_max_degree",
                             lambda g, r: PowerDegreeSummary(r, 0, 0))
         with pytest.raises(GraphPowerError, match="bound 1") as exc:
-            two_phase_power_coloring(path_graph(5), 2)
+            two_phase(path_graph(5), 2)
         assert not isinstance(exc.value, ForestViolationError)
 
     def test_sparse_random_guarantee(self):
@@ -148,29 +162,29 @@ class TestTwoPhase:
         for seed in range(20):
             g = gnp_sample(400, 1.2 / 400, RandomSource(seed))
             try:
-                c = two_phase_power_coloring(g, 2)
+                c = two_phase(g, 2)
             except ForestViolationError:
                 continue
             hit += 1
-            assert c.palette_size <= power_max_degree(g, 1).delta + 1
-            assert verify_proper_power_coloring(g, 2, c) == (True, None)
+            assert c.palette_size <= delta(g, 1) + 1
+            assert verify(g, 2, c) == (True, None)
         assert hit > 0  # the construction applies on some seeds at this density
 
 
 class TestVerifier:
     def test_p5_example_true(self):
-        ok, _ = verify_proper_power_coloring(
+        ok, _ = verify(
             path_graph(5), 2, Coloring([0, 1, 2, 0, 1], 3, 2))
         assert ok
 
     def test_p5_example_false(self):
-        ok, pair = verify_proper_power_coloring(
+        ok, pair = verify(
             path_graph(5), 2, Coloring([0, 1, 0, 1, 0], 2, 2))
         assert not ok and pair == (0, 2)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            verify_proper_power_coloring(path_graph(5), 2, Coloring([0], 1, 2))
+            verify(path_graph(5), 2, Coloring([0], 1, 2))
 
 
 class TestColoringIO:

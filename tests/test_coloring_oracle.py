@@ -21,6 +21,7 @@ from graphpower import (Coloring, ForestViolationError, Graph, RandomSource,
                         coloring, gnp_sample, graph_power, greedy_power_coloring,
                         two_phase_power_coloring)
 from graphpower.coloring import greedy_coloring_explicit
+from graphpower.graph import DEFAULT_EDGE_CAP, power_table
 
 from walk_oracle import bfs_greedy_power_coloring, bfs_two_phase_power_coloring
 
@@ -126,5 +127,6 @@ def test_greedy_equals_the_bfs_walk(g, r, data):
 def test_two_phase_equals_the_bfs_walk(g, r):
     want = outcome(lambda: bfs_two_phase_power_coloring(g, r))
     got = on_both_mex_branches(
-        g, lambda: outcome(lambda: two_phase_power_coloring(g, r).colors))
+        g, lambda: outcome(lambda: two_phase_power_coloring(
+            g, r, *power_table(g, r, DEFAULT_EDGE_CAP)).colors))
     assert got == [want, want]

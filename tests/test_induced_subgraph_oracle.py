@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from graphpower import (Graph, RandomSource, gnp_sample, high_degree_set,
                         induced_subgraph, neighborhood_union, power_max_degree)
+from graphpower.graph import power_table
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -76,7 +77,8 @@ def test_two_phase_closures_match():
     # the subgraph the two-phase coloring builds: S and its radius-r ball
     for n, r, seed in ((2000, 2, 1), (3000, 3, 2)):
         g = gnp_sample(n, 2.0 / n, RandomSource(seed))
-        s = high_degree_set(g, r, power_max_degree(g, r - 1).delta)
+        degrees = power_table(g, r, None)[0]
+        s = high_degree_set(degrees, r, power_max_degree(degrees, r - 1).delta)
         closure = neighborhood_union(g, s, r)
         assert closure
         assert_same(induced_subgraph(g, closure),

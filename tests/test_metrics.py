@@ -9,8 +9,14 @@ from graphpower import (BudgetExceededError, Graph, RandomSource,
                         power_max_degree, power_neighborhood_edge_count,
                         short_cycle_proximity)
 from graphpower.coloring import dsatur_chromatic_exact, greedy_coloring_explicit
+from graphpower.graph import power_table
 
 from test_graph import complete_graph, cycle_graph, path_graph, star_graph
+
+
+def table(g, r):
+    """The degree table of one kernel pass over G^r."""
+    return power_table(g, r, None)[0]
 
 
 def petersen():
@@ -31,15 +37,15 @@ class TestPowerDegrees:
         assert power_degrees(Graph.from_edges(4, []), 2) == [0] * 4
 
     def test_max_degree_p5(self):
-        s = power_max_degree(path_graph(5), 2)
+        s = power_max_degree(table(path_graph(5), 2), 2)
         assert s.delta == 4 and s.argmax == 2
 
     def test_max_degree_c5_square(self):
-        assert power_max_degree(cycle_graph(5), 2).delta == 4
+        assert power_max_degree(table(cycle_graph(5), 2), 2).delta == 4
 
     def test_r1_reduction(self):
         g = gnp_sample(60, 0.08, RandomSource(1))
-        assert power_max_degree(g, 1).delta == int(g.degrees().max())
+        assert power_max_degree(table(g, 1), 1).delta == int(g.degrees().max())
 
     def test_implicit_matches_explicit(self):
         for seed in range(5):
@@ -50,44 +56,44 @@ class TestPowerDegrees:
 
     def test_delta_nondecreasing_in_r(self):
         g = gnp_sample(80, 0.04, RandomSource(3))
-        deltas = [power_max_degree(g, r).delta for r in (1, 2, 3, 4)]
+        deltas = [power_max_degree(table(g, r), r).delta for r in (1, 2, 3, 4)]
         assert deltas == sorted(deltas)
 
 
 class TestHighDegreeSet:
     def test_star_square_all_equal(self):
-        assert high_degree_set(star_graph(3), 2, 3) == []
+        assert high_degree_set(table(star_graph(3), 2), 2, 3) == []
 
     def test_threshold_n_empty(self):
         g = gnp_sample(40, 0.1, RandomSource(4))
-        assert high_degree_set(g, 2, g.n) == []
+        assert high_degree_set(table(g, 2), 2, g.n) == []
 
     def test_c9_square(self):
-        assert high_degree_set(cycle_graph(9), 2, 2) == list(range(9))
+        assert high_degree_set(table(cycle_graph(9), 2), 2, 2) == list(range(9))
 
     def test_threshold_delta_empty(self):
         g = gnp_sample(50, 0.06, RandomSource(5))
-        delta = power_max_degree(g, 2).delta
-        assert high_degree_set(g, 2, delta) == []
+        delta = power_max_degree(table(g, 2), 2).delta
+        assert high_degree_set(table(g, 2), 2, delta) == []
 
     def test_threshold_minus_one_is_everything(self):
         g = gnp_sample(20, 0.1, RandomSource(6))
-        assert high_degree_set(g, 2, -1) == list(range(20))
+        assert high_degree_set(table(g, 2), 2, -1) == list(range(20))
 
 
 class TestCliqueBounds:
     def test_star_r2(self):
-        assert clique_lower_bound(star_graph(3), 2) == 4
+        assert clique_lower_bound(table(star_graph(3), 2), 2) == 4
 
     def test_edgeless(self):
-        assert clique_lower_bound(Graph.from_edges(5, []), 2) == 1
+        assert clique_lower_bound(table(Graph.from_edges(5, []), 2), 2) == 1
 
     def test_p5_r4(self):
-        assert clique_lower_bound(path_graph(5), 4) == 5
+        assert clique_lower_bound(table(path_graph(5), 4), 4) == 5
 
     def test_r1(self):
-        assert clique_lower_bound(path_graph(3), 1) == 2
-        assert clique_lower_bound(Graph.from_edges(3, []), 1) == 1
+        assert clique_lower_bound(table(path_graph(3), 1), 1) == 2
+        assert clique_lower_bound(table(Graph.from_edges(3, []), 1), 1) == 1
 
 
 class TestExactClique:
@@ -211,7 +217,7 @@ class TestCodegree:
     def test_never_exceeds_delta(self):
         for seed in range(5):
             g = gnp_sample(40, 0.08, RandomSource(seed))
-            delta = power_max_degree(g, 1).delta
+            delta = power_max_degree(table(g, 1), 1).delta
             layer, power = codegree_max(g, 2)
             assert layer <= delta and power <= delta
 
@@ -249,9 +255,9 @@ class TestSandwich:
         for g in instances:
             for r in (1, 2, 3):
                 gp = graph_power(g, r)
-                lb = clique_lower_bound(g, r)
+                lb = clique_lower_bound(table(g, r), r)
                 omega = max_clique_exact(gp)
                 chi, _ = dsatur_chromatic_exact(gp)
                 greedy = greedy_coloring_explicit(gp).palette_size
-                delta = power_max_degree(g, r).delta
+                delta = power_max_degree(table(g, r), r).delta
                 assert lb <= omega <= chi <= greedy <= delta + 1

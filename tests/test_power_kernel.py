@@ -1,7 +1,8 @@
 """The (A+I)^r block kernel ``graph._power_blocks`` on int32 keys, against
 the int64 rows frozen in ``power_oracle``: the same rows whether or not the
 int32 row cap binds, and the int64 branch when a forced bound leaves no row
-room."""
+room.  The degree table of ``graph.power_table`` holds the int64 kernel's
+degrees at every radius, from one pass."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ def random_graphs(draw):
     return gnp_sample(n, p, RandomSource(draw(st.integers(0, 2 ** 32))))
 
 
+def kernel_blocks(g, r):
+    """The (start, stop, keys) of ``graph._power_blocks``, sizes left out."""
+    return [(start, stop, keys)
+            for start, stop, (keys, _) in graph._power_blocks(g, r)]
+
+
 def global_rows(blocks, n):
     """The (row, v) entries of (A+I)^r held by the blocks, in order."""
     return [(start + key // n, key % n) for start, _, keys in blocks
@@ -36,7 +43,7 @@ def test_blocks_equal_the_int64_kernel(g, r, three_key_budget):
     with pytest.MonkeyPatch.context() as mp:
         if three_key_budget:
             mp.setattr(graph, "POWER_KEY_BUDGET", 3)
-        got = list(graph._power_blocks(g, r))
+        got = kernel_blocks(g, r)
         want = global_rows(int64_power_blocks(g, r), g.n)
     assert all(keys.dtype == np.int32 for _, _, keys in got)
     assert global_rows(got, g.n) == want
@@ -51,7 +58,7 @@ def test_row_cap_keeps_keys_under_the_bound(g, r, cap):
     limit = cap * g.n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "POWER_INT32_KEYS", limit)
-        got = list(graph._power_blocks(g, r))
+        got = kernel_blocks(g, r)
         degs = power_degrees(g, r)
         power = graph_power(g, r)
     assert all(stop - start <= cap for start, stop, _ in got)
@@ -77,7 +84,7 @@ def test_forced_int64_branch_is_the_int64_kernel(g, r, three_key_budget):
         mp.setattr(graph, "POWER_INT32_KEYS", g.n - 1)
         if three_key_budget:
             mp.setattr(graph, "POWER_KEY_BUDGET", 3)
-        got = list(graph._power_blocks(g, r))
+        got = kernel_blocks(g, r)
         degs = power_degrees(g, r)
         power = graph_power(g, r)
         want = global_rows(int64_power_blocks(g, r), g.n)
@@ -99,9 +106,38 @@ def test_row_cap_binds_at_two_to_the_twenty():
     cap = graph.POWER_INT32_KEYS // n
     assert cap == 1024
     sizes = []
-    for start, stop, keys in graph._power_blocks(g, 2):
+    for start, stop, keys in kernel_blocks(g, 2):
         assert keys.dtype == np.int32
         assert 2 * int(keys.max()) + 1 <= INT32_MAX
         sizes.append(stop - start)
     assert max(sizes) == cap and sum(sizes) == n
     assert power_degrees(g, 2) == int64_power_degrees(g, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.integers(1, 6), st.booleans())
+def test_table_holds_every_radius(g, r, three_key_budget):
+    """Row k of the table is the G^k degrees, up to the last hop that grew
+    a ball; the radii past it read the last row.  The power from the same
+    pass is the product's."""
+    with pytest.MonkeyPatch.context() as mp:
+        if three_key_budget:
+            mp.setattr(graph, "POWER_KEY_BUDGET", 3)
+        degrees, power = graph.power_table(g, r, graph.DEFAULT_EDGE_CAP)
+        alone, none = graph.power_table(g, r, None)
+    assert none is None and np.array_equal(degrees, alone)
+    h = len(degrees) - 1
+    assert h <= r and not degrees[0].any()
+    for s in range(1, r + 1):
+        assert degrees[min(s, h)].tolist() == int64_power_degrees(g, s)
+    oracle = scipy_power(g, r)
+    assert np.array_equal(power.indptr, oracle.indptr)
+    assert np.array_equal(power.indices, oracle.indices)
+
+
+def test_table_stops_where_the_balls_stop_growing():
+    """On the path P_10 the balls stop growing after 9 hops, whatever r."""
+    g = graph.Graph.from_edges(10, [(i, i + 1) for i in range(9)])
+    degrees, power = graph.power_table(g, 10 ** 6, graph.DEFAULT_EDGE_CAP)
+    assert len(degrees) <= 11
+    assert degrees[-1].tolist() == [9] * 10 and power.m == 45

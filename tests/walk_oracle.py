@@ -5,12 +5,13 @@ before those moved onto numpy ball expansions and explicit powers, kept as
 they were.  They share a frozen copy of the truncated BFS they ran on, so
 they stay fixed whatever becomes of the package.  The one change: the
 verdict's witness is now the lexicographically first violating pair, where
-it was the first w in the BFS visit order from v."""
+it was the first w in the BFS visit order from v; and the two-phase
+coloring counts its G^r degrees by the same BFS, where it called the
+package's ``power_max_degree`` and ``high_degree_set``."""
 
 from collections import Counter
 
-from graphpower import (ForestViolationError, high_degree_set, induced_subgraph,
-                        is_forest, power_max_degree)
+from graphpower import ForestViolationError, induced_subgraph, is_forest
 
 
 def _truncated_bfs(g, r, starts):
@@ -34,6 +35,12 @@ def _truncated_bfs(g, r, starts):
             layers.append(nxt)
             frontier = nxt
         yield layers
+
+
+def bfs_power_degrees(g, r):
+    """The G^r degree of every vertex: the vertices one BFS reaches."""
+    return [sum(map(len, layers))
+            for layers in _truncated_bfs(g, r, zip(range(g.n)))]
 
 
 def dfs_vertices_on_short_cycles(g, t) -> set:
@@ -141,8 +148,8 @@ def bfs_two_phase_power_coloring(g, r):
     in BFS order over each tree of the closure, rooted at its smallest
     vertex (the palette check is left out)."""
     n = g.n
-    delta_prev = power_max_degree(g, r - 1).delta
-    s_set = high_degree_set(g, r, delta_prev)
+    delta_prev = max(bfs_power_degrees(g, r - 1), default=0)
+    s_set = [v for v, d in enumerate(bfs_power_degrees(g, r)) if d > delta_prev]
     colors = [-1] * n
     if s_set:
         reached = {w for layer in next(_truncated_bfs(g, r, [s_set]))
