@@ -13,8 +13,7 @@ import sys
 
 from . import coloring as col
 from . import experiments, metrics, theory
-from .errors import (BudgetExceededError, ConfigError, ForestViolationError,
-                     GraphPowerError, MemoryBudgetError)
+from .errors import ConfigError, ForestViolationError, GraphPowerError, require
 from .graph import (gnp_sample, graph_power, power_table, read_dimacs,
                     read_edgelist, write_dimacs, write_edgelist)
 from .rng import RandomSource
@@ -29,12 +28,6 @@ def _read_graph(path):
 
 def _write_graph(g, path):
     (write_dimacs if path.endswith(".col") else write_edgelist)(g, path)
-
-
-def _require(ok, message):
-    """Refuse an out-of-range flag value as a config error (exit 2)."""
-    if not ok:
-        raise ConfigError(message)
 
 
 def build_parser():
@@ -170,15 +163,15 @@ def _eval_formula(formula, params):
         if "=" not in item:
             raise ConfigError(f"expected key=value, got {item!r}")
         key, val = item.split("=", 1)
-        _require(key not in kv, f"{formula}: {key}= is given twice")
+        require(key not in kv, f"{formula}: {key}= is given twice")
         kv[key] = val
     for key in kv:
-        _require(key in types, f"{formula} does not take {key}=...; it takes "
-                               f"{', '.join(types)}")
+        require(key in types, f"{formula} does not take {key}=...; it takes "
+                              f"{', '.join(types)}")
     args = []
     for key, cast in types.items():
         if key not in kv:
-            _require(key in _DEFAULTS, f"{formula} needs {key}=...")
+            require(key in _DEFAULTS, f"{formula} needs {key}=...")
             args.append(_DEFAULTS[key])
             continue
         try:
@@ -193,13 +186,13 @@ def _eval_formula(formula, params):
 def _cmd_sample(args):
     if (args.p is None) == (args.d is None):
         raise ConfigError("give exactly one of --p or --d")
-    _require(args.n >= 0, "--n must be >= 0")
+    require(args.n >= 0, "--n must be >= 0")
     if args.p is None:
-        _require(args.n >= 1 and 0 <= args.d <= args.n,
-                 "--d must be in [0, --n], with --n >= 1")
+        require(args.n >= 1 and 0 <= args.d <= args.n,
+                "--d must be in [0, --n], with --n >= 1")
         p = args.d / args.n
     else:
-        _require(0 <= args.p <= 1, "--p must be in [0, 1]")
+        require(0 <= args.p <= 1, "--p must be in [0, 1]")
         p = args.p
     g = gnp_sample(args.n, p, RandomSource(args.seed), mode=args.mode)
     _write_graph(g, args.out)
@@ -208,8 +201,8 @@ def _cmd_sample(args):
 
 
 def _cmd_power(args):
-    _require(args.r >= 1, "--r must be >= 1")
-    _require(args.edge_cap >= 0, "--edge-cap must be >= 0")
+    require(args.r >= 1, "--r must be >= 1")
+    require(args.edge_cap >= 0, "--edge-cap must be >= 0")
     g = _read_graph(args.infile)
     gp = graph_power(g, args.r, edge_cap=args.edge_cap)
     _write_graph(gp, args.out)
@@ -218,12 +211,12 @@ def _cmd_power(args):
 
 
 def _cmd_stats(args):
-    _require(args.r >= 1, "--r must be >= 1")
-    _require((args.cycle_s is None) == (args.cycle_t is None),
-             "give both --cycle-s and --cycle-t, or neither")
+    require(args.r >= 1, "--r must be >= 1")
+    require((args.cycle_s is None) == (args.cycle_t is None),
+            "give both --cycle-s and --cycle-t, or neither")
     if args.cycle_s is not None:
-        _require(args.cycle_s >= 0, "--cycle-s must be >= 0")
-        _require(args.cycle_t >= 3, "--cycle-t must be >= 3")
+        require(args.cycle_s >= 0, "--cycle-s must be >= 0")
+        require(args.cycle_t >= 3, "--cycle-t must be >= 3")
     g = _read_graph(args.infile)
     degrees, _ = power_table(g, args.r, None)
     out = {"n": g.n, "m": g.m, "r": args.r}
@@ -245,10 +238,10 @@ def _cmd_stats(args):
 
 def _cmd_color(args):
     if args.method == "two-phase":
-        _require(args.r >= 2, "--r must be >= 2 for --method two-phase")
-    _require(args.r >= 1, "--r must be >= 1")
-    _require(args.edge_cap >= 0, "--edge-cap must be >= 0")
-    _require(args.chi_budget >= 0, "--chi-budget must be >= 0")
+        require(args.r >= 2, "--r must be >= 2 for --method two-phase")
+    require(args.r >= 1, "--r must be >= 1")
+    require(args.edge_cap >= 0, "--edge-cap must be >= 0")
+    require(args.chi_budget >= 0, "--chi-budget must be >= 0")
     g = _read_graph(args.infile)
     degrees, gp = power_table(g, args.r, args.edge_cap)
     if args.method == "greedy":
@@ -297,7 +290,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_verify(args):
-    _require(args.workers >= 1, "--workers must be >= 1")
+    require(args.workers >= 1, "--workers must be >= 1")
     # verify_theorem refuses an override its campaign does not take
     overrides = {key: getattr(args, key) for key in ("trials", "n", "d", "r")
                  if getattr(args, key) is not None}
@@ -317,8 +310,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (BudgetExceededError, MemoryBudgetError, GraphPowerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphPowerError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

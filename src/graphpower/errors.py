@@ -46,3 +46,9 @@ class NoConvergenceError(GraphPowerError):
 
 class ConfigError(GraphPowerError):
     """Invalid experiment configuration or config-file syntax."""
+
+
+def require(ok, message):
+    """Refuse an out-of-range value as a config error (exit 2)."""
+    if not ok:
+        raise ConfigError(message)

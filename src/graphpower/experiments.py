@@ -1,6 +1,10 @@
 """Reproducible Monte Carlo campaigns testing each structural claim at desk
 scale, with machine-readable output.
 
+Each experiment kind is one table row: its per-trial measure, its summary
+fields, and its config rule, which refuses a config the kind cannot run
+(a pmf past its work cap, an undefined D*) before any trial is sampled.
+
 Per-trial seeds derive from (seed, trial index) via splitmix64, so serial and
 parallel runs produce identical records; the record sink orders by trial
 index regardless of completion order.  Frequency gates for the asymptotic
@@ -17,6 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -24,7 +29,7 @@ import numpy as np
 from . import coloring as col
 from . import metrics, theory
 from .errors import (BudgetExceededError, ConfigError, DomainError,
-                     ForestViolationError)
+                     ForestViolationError, require)
 from .graph import (DEFAULT_EDGE_CAP, ball, gnp_sample, graph_power,
                     induced_subgraph, power_table)
 from .rng import RandomSource, derive_seed
@@ -71,12 +76,6 @@ class ExperimentConfig:
             self.d = self.p * self.n
         if not 0 <= self.p <= 1:
             raise ConfigError("edge probability must be in [0, 1]")
-        if self.kind == "chi2-equality" and self.r != 2:
-            raise ConfigError("chi2-equality requires r = 2")
-        if self.kind in ("chi-sandwich",) and self.r < 2:
-            raise ConfigError("chi-sandwich requires r >= 2")
-        if self.kind == "dense-chi" and self.d <= math.log(self.n):
-            raise ConfigError("dense-chi requires d > log n")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.sample_mode not in ("auto", "bernoulli", "skip"):
@@ -87,6 +86,10 @@ class ExperimentConfig:
         for key in ("clique_budget", "chi_budget", "edge_cap", "degree_cap"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
+        try:
+            _KIND_TABLE[self.kind].rule(self)
+        except (BudgetExceededError, DomainError) as exc:
+            raise ConfigError(f"{self.kind} cannot run at this config: {exc}") from None
 
     def config_hash(self) -> str:
         text = "\n".join(f"{k}={getattr(self, k)!r}" for k in _HASH_FIELDS)
@@ -156,7 +159,7 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     seed = derive_seed(cfg.seed, trial)
     start = time.perf_counter()
     g = gnp_sample(cfg.n, cfg.p, RandomSource(seed), mode=cfg.sample_mode)
-    values, exact = _MEASURE[cfg.kind](cfg, g)
+    values, exact = _KIND_TABLE[cfg.kind].measure(cfg, g)
     if cfg.measure_z:
         t = min(2 * cfg.r, metrics.DEFAULT_CYCLE_LENGTH_CAP)
         values["z_proximity"] = metrics.short_cycle_proximity(g, cfg.r, max(t, 3))
@@ -167,12 +170,10 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 def _measure_delta(cfg, g):
     degrees, _ = power_table(g, cfg.r, None)
-    values = {}
-    for s in range(1, cfg.r + 1):
-        values[f"delta_{s}"] = metrics.power_max_degree(degrees, s).delta
-    ds = theory.d_star(cfg.n, cfg.r)
-    values["d_star"] = ds
-    values["ratio"] = values[f"delta_{cfg.r}"] / ds
+    values = {f"delta_{s}": metrics.power_max_degree(degrees, s).delta
+              for s in range(1, cfg.r + 1)}
+    values["d_star"] = theory.d_star(cfg.n, cfg.r)
+    values["ratio"] = values[f"delta_{cfg.r}"] / values["d_star"]
     return values, {f"delta_{s}": True for s in range(1, cfg.r + 1)}
 
 
@@ -200,15 +201,9 @@ def _measure_chi2(cfg, g):
         cert_exact = True
     except BudgetExceededError as exc:
         cert, cert_exact = exc.lower or 0, False
-    values = {
-        "delta_1": top.delta,
-        "two_phase_ok": ok,
-        "palette": c.palette_size,
-        "proper": proper,
-        "equality": ok and c.palette_size == top.delta + 1,
-        "cert_chi": cert,
-        "cert_matches": ok and cert == c.palette_size,
-    }
+    values = {"delta_1": top.delta, "two_phase_ok": ok, "palette": c.palette_size,
+              "proper": proper, "equality": ok and c.palette_size == top.delta + 1,
+              "cert_chi": cert, "cert_matches": ok and cert == c.palette_size}
     return values, {"palette": ok, "cert_chi": cert_exact}
 
 
@@ -218,15 +213,10 @@ def _measure_chi_sandwich(cfg, g):
     deltas = {s: metrics.power_max_degree(degrees, s).delta
               for s in sorted({1, r // 2, r - 1})}
     clique_lb = deltas[r // 2] + 1
-    values = {
-        **{f"delta_{s}": v for s, v in deltas.items()},
-        "two_phase_ok": ok,
-        "palette": c.palette_size,
-        "proper": proper,
-        "clique_lb": clique_lb,
-        "lb_ok": clique_lb <= c.palette_size,
-        "bound_ok": (c.palette_size <= deltas[r - 1] + 1) if ok else None,
-    }
+    values = {**{f"delta_{s}": v for s, v in deltas.items()}, "two_phase_ok": ok,
+              "palette": c.palette_size, "proper": proper, "clique_lb": clique_lb,
+              "lb_ok": clique_lb <= c.palette_size,
+              "bound_ok": (c.palette_size <= deltas[r - 1] + 1) if ok else None}
     return values, {"palette": ok}
 
 
@@ -240,13 +230,8 @@ def _measure_clique_sandwich(cfg, g):
         exact = True
     except BudgetExceededError as exc:
         omega, exact = exc.lower or 1, False
-    values = {
-        "clique_lower": lower,
-        "clique_upper": upper,
-        "omega": omega,
-        "lower_ok": lower <= omega,
-        "upper_ok": omega <= upper,
-    }
+    values = {"clique_lower": lower, "clique_upper": upper, "omega": omega,
+              "lower_ok": lower <= omega, "upper_ok": omega <= upper}
     return values, {"omega": exact}
 
 
@@ -255,14 +240,9 @@ def _measure_dense_chi(cfg, g):
     palette = col.greedy_coloring_explicit(gp, radius=cfg.r).palette_size
     alpha = len(metrics.greedy_independent_set(gp))
     theta = cfg.d ** cfg.r / math.log(cfg.d)
-    values = {
-        "palette": palette,
-        "alpha_greedy": alpha,
-        "theta": theta,
-        "ratio_chi": palette / theta,
-        "ratio_alpha": (cfg.n / alpha) / theta,
-        "ordering_ok": palette >= cfg.n / alpha,
-    }
+    values = {"palette": palette, "alpha_greedy": alpha, "theta": theta,
+              "ratio_chi": palette / theta, "ratio_alpha": (cfg.n / alpha) / theta,
+              "ordering_ok": palette >= cfg.n / alpha}
     return values, {"palette": False, "alpha_greedy": False}
 
 
@@ -274,15 +254,72 @@ def _measure_degree_pmf(cfg, g):
     return values, {}
 
 
-_MEASURE = {
-    "delta-concentration": _measure_delta,
-    "chi2-equality": _measure_chi2,
-    "chi-sandwich": _measure_chi_sandwich,
-    "clique-sandwich": _measure_clique_sandwich,
-    "dense-chi": _measure_dense_chi,
-    "degree-pmf": _measure_degree_pmf,
+# -- the experiment kinds ---------------------------------------------------
+
+# one row per kind: ``measure(cfg, g) -> (values, exact)`` for one trial;
+# ``rule(cfg)``, which refuses a config with ConfigError, or with the
+# BudgetExceededError or DomainError of a value the kind cannot compute; and
+# the summary ``fields``, name -> fn(cfg, records) in output order
+Kind = namedtuple("Kind", "measure rule fields")
+
+
+def _rate(key, part="values"):
+    """Field: the share of trials whose record ``part`` holds a true ``key``."""
+    return lambda cfg, records: (
+        sum(1 for rec in records if getattr(rec, part).get(key)) / len(records))
+
+
+def _mean(key):
+    """Field: the mean over trials of ``key``, ``{r}`` filled in from cfg."""
+    return lambda cfg, records: (
+        sum(rec.values[key.format(r=cfg.r)] for rec in records) / len(records))
+
+
+def _each(key):
+    """Field: ``key`` of every trial, in trial order."""
+    return lambda cfg, records: [rec.values[key] for rec in records]
+
+
+def _pmf(cfg, records=None):
+    """The limit pmf up to ``degree_cap``: degree-pmf's rule and a field."""
+    return dict(enumerate(theory.degree_pmf(cfg.d, cfg.r, cfg.degree_cap)))
+
+
+_KIND_TABLE = {
+    "delta-concentration": Kind(
+        _measure_delta, lambda cfg: theory.d_star(cfg.n, cfg.r),
+        dict(mean_ratio=_mean("ratio"), mean_delta=_mean("delta_{r}"),
+             d_star=lambda cfg, records: records[0].values["d_star"])),
+    "chi2-equality": Kind(
+        _measure_chi2, lambda cfg: require(cfg.r == 2, "chi2-equality requires r = 2"),
+        dict(two_phase_rate=_rate("two_phase_ok"), equality_rate=_rate("equality"),
+             certified_rate=_rate("cert_matches"), proper_rate=_rate("proper"))),
+    "chi-sandwich": Kind(
+        _measure_chi_sandwich,
+        lambda cfg: require(cfg.r >= 2, "chi-sandwich requires r >= 2"),
+        dict(two_phase_rate=_rate("two_phase_ok"), lb_rate=_rate("lb_ok"),
+             bound_violations=lambda cfg, records: sum(
+                 1 for rec in records
+                 if rec.values["two_phase_ok"] and not rec.values["bound_ok"]),
+             proper_rate=_rate("proper"))),
+    "clique-sandwich": Kind(
+        _measure_clique_sandwich, lambda cfg: None,
+        dict(lower_rate=_rate("lower_ok"), upper_rate=_rate("upper_ok"),
+             exact_rate=_rate("omega", "exact"))),
+    "dense-chi": Kind(
+        _measure_dense_chi,
+        lambda cfg: require(cfg.d > math.log(cfg.n), "dense-chi requires d > log n"),
+        dict(ratio_chi=_each("ratio_chi"), ratio_alpha=_each("ratio_alpha"),
+             ordering_rate=_rate("ordering_ok"))),
+    "degree-pmf": Kind(
+        _measure_degree_pmf, _pmf,
+        dict(mean_freq=lambda cfg, records: {
+                 k: sum(rec.values[f"count_{k}"] / cfg.n for rec in records)
+                 / len(records) for k in range(cfg.degree_cap + 1)},
+             pmf=_pmf,
+             total_observations=lambda cfg, records: cfg.n * len(records))),
 }
-KINDS = tuple(_MEASURE)
+KINDS = tuple(_KIND_TABLE)
 
 
 # -- campaign driver -------------------------------------------------------
@@ -307,49 +344,13 @@ def run_experiment(cfg: ExperimentConfig):
     return summary, records
 
 
-def _fraction(records, key):
-    hits = sum(1 for rec in records if rec.values.get(key))
-    return hits / len(records)
-
-
 def summarize(cfg: ExperimentConfig, records) -> dict:
-    """Aggregate means / empirical frequencies per experiment kind."""
+    """Aggregate means / empirical frequencies: the common head, then the
+    summary fields of the kind's table row."""
     out = {"kind": cfg.kind, "n": cfg.n, "d": cfg.d, "r": cfg.r,
            "trials": len(records), "config_hash": cfg.config_hash()}
-    if cfg.kind == "delta-concentration":
-        ratios = [rec.values["ratio"] for rec in records]
-        out["mean_ratio"] = sum(ratios) / len(ratios)
-        out["mean_delta"] = (sum(rec.values[f"delta_{cfg.r}"] for rec in records)
-                             / len(records))
-        out["d_star"] = records[0].values["d_star"]
-    elif cfg.kind == "chi2-equality":
-        out["two_phase_rate"] = _fraction(records, "two_phase_ok")
-        out["equality_rate"] = _fraction(records, "equality")
-        out["certified_rate"] = _fraction(records, "cert_matches")
-        out["proper_rate"] = _fraction(records, "proper")
-    elif cfg.kind == "chi-sandwich":
-        out["two_phase_rate"] = _fraction(records, "two_phase_ok")
-        out["lb_rate"] = _fraction(records, "lb_ok")
-        successes = [rec for rec in records if rec.values["two_phase_ok"]]
-        out["bound_violations"] = sum(
-            1 for rec in successes if not rec.values["bound_ok"])
-        out["proper_rate"] = _fraction(records, "proper")
-    elif cfg.kind == "clique-sandwich":
-        out["lower_rate"] = _fraction(records, "lower_ok")
-        out["upper_rate"] = _fraction(records, "upper_ok")
-        out["exact_rate"] = sum(1 for rec in records if rec.exact.get("omega")) \
-            / len(records)
-    elif cfg.kind == "dense-chi":
-        out["ratio_chi"] = [rec.values["ratio_chi"] for rec in records]
-        out["ratio_alpha"] = [rec.values["ratio_alpha"] for rec in records]
-        out["ordering_rate"] = _fraction(records, "ordering_ok")
-    elif cfg.kind == "degree-pmf":
-        out["mean_freq"] = {
-            k: sum(rec.values[f"count_{k}"] / cfg.n for rec in records)
-            / len(records) for k in range(cfg.degree_cap + 1)}
-        out["pmf"] = dict(enumerate(theory.degree_pmf(cfg.d, cfg.r,
-                                                      cfg.degree_cap)))
-        out["total_observations"] = cfg.n * len(records)
+    out.update((name, fn(cfg, records))
+               for name, fn in _KIND_TABLE[cfg.kind].fields.items())
     return out
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import (Graph, _gather_rows, _power_blocks, _root_blocks, ball,
-                    first_copies, neighborhood_union)
+from .graph import (Graph, _gather_rows, _root_blocks, ball, first_copies,
+                    neighborhood_union, power_table)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -34,13 +34,10 @@ class PowerDegreeSummary:
 
 
 def power_degrees(g: Graph, r) -> list:
-    """Degrees in G^r for every vertex: the last ball sizes of the power
-    kernel minus one, block by block; the power is never held whole."""
-    degs = np.zeros(g.n, dtype=np.int64)
-    for start, stop, (_, sizes) in _power_blocks(g, r):
-        if sizes:
-            degs[start:stop] = sizes[-1] - 1
-    return degs.tolist()
+    """Degrees in G^r for every vertex, all 0 at r < 1: the last row of the
+    degree table of one :func:`graph.power_table` pass; the power is never
+    held whole."""
+    return power_table(g, r, None)[0][-1].tolist() if r >= 1 else [0] * g.n
 
 
 def power_max_degree(degrees, r) -> PowerDegreeSummary:

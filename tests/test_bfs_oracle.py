@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpower import (Coloring, Graph, ball, gnp_sample, graph,
-                        graph_power, greedy_power_coloring, metrics,
-                        neighborhood_union, power_degrees,
-                        verify_proper_power_coloring)
+                        graph_power, greedy_power_coloring, neighborhood_union,
+                        power_degrees, verify_proper_power_coloring)
 from graphpower.coloring import greedy_coloring_explicit
 from graphpower.rng import RandomSource
 
@@ -137,7 +136,7 @@ def degrees_in_small_blocks(g, r, budget):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "POWER_KEY_BUDGET", budget)
-        mp.setattr(metrics, "_power_blocks", record)
+        mp.setattr(graph, "_power_blocks", record)
         degs = power_degrees(g, r)
     peaks = block_peaks(g, r)
     cap = graph.POWER_INT32_KEYS // max(g.n, 1)

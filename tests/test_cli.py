@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpower import (RandomSource, experiments, gnp_sample, read_edgelist,
-                        u_value, write_edgelist)
+from graphpower import (RandomSource, cli, experiments, gnp_sample,
+                        read_edgelist, u_value, write_edgelist)
 from graphpower.cli import main
 
 from compositions import feasible_compositions
@@ -38,6 +38,24 @@ class TestSample:
         code, rep = run(capsys, "sample", "--n", "200", "--d", "2",
                         "--out", str(out))
         assert code == 0 and rep["n"] == 200
+
+    # a sample too large for memory once ended in numpy's traceback; the
+    # error is injected, since a real 4 TiB request may not fail fast
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 4.00 TiB", "Unable to allocate 4.00 TiB"),
+        ("", "out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, monkeypatch,
+                                  message, line):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "gnp_sample", no_memory)
+        out = tmp_path / "g.txt"
+        code = main(["sample", "--n", "1000000000000", "--d", "1",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {line}\n"
 
     def test_p_and_d_conflict(self, tmp_path):
         code = main(["sample", "--n", "10", "--p", "0.1", "--d", "2",
@@ -338,6 +356,45 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == "config error: degree_cap must be >= 0\n"
+
+    @staticmethod
+    def refused_before_sampling(tmp_path, capsys, monkeypatch, text):
+        """The one ``config error:`` line of a config refused before any
+        trial ran: the sampler is never called and no records are written."""
+        sampled = []
+        monkeypatch.setattr(experiments, "gnp_sample",
+                            lambda *args, **kwargs: sampled.append(args))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rec.jsonl"
+        assert main(["experiment", "run", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists() and not sampled
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    # a pmf the summary cannot compute once ran every trial, then exited 1
+    # and wrote no records
+    @pytest.mark.parametrize("text, cause", [
+        ("n = 70000\nd = 2\nr = 3\ntrials = 20\ndegree_cap = 1300\n",
+         "pmf to D=1300 at r=3 exceeds work cap 5000000"),
+        ("n = 1000\nd = 800\nr = 2\n", "e^-d underflows at d=800.0")],
+        ids=["work-cap", "underflow"])
+    def test_uncomputable_pmf_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     text, cause):
+        err = self.refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                           "kind = degree-pmf\n" + text)
+        assert err == ("config error: degree-pmf cannot run at this config: "
+                       f"{cause}\n")
+
+    # an undefined D* once failed after the first trial's kernel pass, exit 1
+    @pytest.mark.parametrize("n, r", [(200_000, 3), (15, 2)])
+    def test_undefined_d_star_exit_2(self, tmp_path, capsys, monkeypatch, n, r):
+        err = self.refused_before_sampling(
+            tmp_path, capsys, monkeypatch,
+            f"kind = delta-concentration\nn = {n}\nd = 2\nr = {r}\n")
+        assert err.startswith("config error: delta-concentration cannot run "
+                              f"at this config: log_({r + 1})({n}) = -0.")
 
     def test_bad_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

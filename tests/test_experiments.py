@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -239,6 +240,31 @@ class TestRunExperiment:
         h, rows = read_records(out)
         assert h == cfg.config_hash() == summary["config_hash"]
         assert len(rows) == len(records) == 3
+
+
+# one small campaign per kind and the sha256[:16] of its summary's
+# json.dumps, so that field order and every value count
+PINNED_SUMMARIES = {
+    "delta-concentration": (dict(n=2000, d=2.0, r=2, trials=3, seed=1),
+                            "533d8fa0af11bf15"),
+    "chi2-equality": (dict(n=300, d=2.0, r=2, trials=4, seed=2, measure_z=True),
+                      "27d68521b30026ef"),
+    "chi-sandwich": (dict(n=300, d=1.5, r=3, trials=4, seed=3),
+                     "8b481646697bc180"),
+    "clique-sandwich": (dict(n=60, d=3.0, r=3, trials=3, seed=4,
+                             clique_budget=50), "bf0fe3bfc5dcc9a7"),
+    "dense-chi": (dict(n=200, d=20.0, r=2, trials=2, seed=5), "f19282a6e972ead4"),
+    "degree-pmf": (dict(n=2000, d=2.0, r=3, trials=3, seed=6, degree_cap=12),
+                   "7ab61234e6d4e879"),
+}
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_summary_of_each_kind_is_pinned(kind):
+    config, digest = PINNED_SUMMARIES[kind]
+    summary, _ = run_experiment(ExperimentConfig(kind=kind, **config))
+    text = json.dumps(summary)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, text
 
 
 def _max_law(n, cdf):

@@ -10,9 +10,10 @@ costs about as much set-up time and memory as a trial.  Adjacency lists
 are built only from a pinned list of functions, so a new per-vertex Python
 walk fails here rather than in a profile.  The constants that size a
 block of ball expansions are read by the one block driver alone, so a
-second block loop fails here.  Every function the benchmark's
-tracer wraps still exists, so a renamed one fails here rather than in a
-traced benchmark run.
+second block loop fails here.  No code branches on an experiment kind by
+name, since each kind is one row of the experiments table.  Every
+function the benchmark's tracer wraps still exists, so a renamed one
+fails here rather than in a traced benchmark run.
 """
 
 import ast
@@ -171,3 +172,23 @@ def test_tracer_sites_resolve_on_the_package():
                if not hasattr(getattr(graphpower, site.split(".")[0]),
                               site.split(".")[1])]
     assert not missing, f"tracer sites missing from the package: {missing}"
+
+
+def is_strings(node):
+    """A string constant, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(map(is_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_no_branch_on_experiment_kind():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(op, ast.Attribute) and op.attr == "kind"
+                    for op in operands) and any(map(is_strings, operands))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"branches on an experiment kind: {', '.join(found)}"
