@@ -248,7 +248,7 @@ def _measure_dense_chi(cfg, g):
 
 def _measure_degree_pmf(cfg, g):
     top = cfg.degree_cap + 1
-    counts = np.bincount(metrics.power_degrees(g, cfg.r), minlength=top)
+    counts = np.bincount(power_table(g, cfg.r, None)[0][-1], minlength=top)
     values = {"n": cfg.n}
     values.update((f"count_{k}", c) for k, c in enumerate(counts[:top].tolist()))
     return values, {}

@@ -1,7 +1,8 @@
 """Immutable sparse graphs, G(n,p) sampling, the one block driver that runs
 a ball expansion from every root, the (A+I)^r kernel on it, whose one pass
-gives the power degrees at every radius and the explicit power, balls
-grown as vertex masks, the forest check, and file I/O.
+gives the power degrees at every radius and the explicit power (on sorted
+keys, or on packed bit rows when the graph is dense), balls grown as
+vertex masks, the forest check, and file I/O.
 
 Graphs are stored in compressed-row form (``indptr``/``indices`` a la CSR)
 with strictly sorted adjacency rows, no self-loops and no parallel edges.
@@ -258,7 +259,9 @@ def _root_blocks(g: Graph, grow):
     key's neighbour count.  Keys are int32 (``g.indices`` is cast once per
     call) and a block holds at most ``POWER_INT32_KEYS // n`` roots, so a
     key tagged in its low bit stays below 2**31; only when one root cannot
-    fit (n > ``POWER_INT32_KEYS``) are they int64, with no row cap.
+    fit (n > ``POWER_INT32_KEYS``) are they int64, with no row cap.  A
+    ``grow`` that holds its balls otherwise charges each expansion with
+    ``expand.charge(total)``, ``total`` its keys or words.
 
     The first block tries every root under the row cap; a block of more
     than one root is halved and redone as soon as one expansion would pass
@@ -281,18 +284,22 @@ def _root_blocks(g: Graph, grow):
     indices = g.indices.astype(dtype)
     peak = 0
 
-    def expand(keys):
+    def charge(total):
         nonlocal peak
-        v = keys % n
-        lo = indptr[v]
-        cnt = indptr[1:][v] - lo
-        total = int(cnt.sum())
         if total > budget and rows > 1:
             raise _OverBudget
         peak = max(peak, total)
+
+    def expand(keys):
+        v = keys % n
+        lo = indptr[v]
+        cnt = indptr[1:][v] - lo
+        charge(int(cnt.sum()))
         reached = _gather_rows(indices, lo, cnt)
         reached += np.repeat(keys - v, cnt)
         return reached, cnt
+
+    expand.charge = charge
 
     start, rows = 0, max_rows
     while start < n:
@@ -314,8 +321,10 @@ def _power_blocks(g: Graph, r):
     """The rows of (A+I)^r, a block at a time: yields (start, stop, (keys,
     sizes)), ``keys`` the sorted ``local_row * n + v`` for every v within
     distance r of vertex ``start + local_row`` (itself included), and
-    ``sizes[k - 1]`` each row's ball size at radius k = 1..h (h < r when a
-    hop reaches nothing).
+    ``sizes[k - 1]`` each row's ball size at radius k = 1..t.  The hops stop
+    at the first one that reaches nothing: t = min(r, h + 1), h the last
+    hop that grew one of the block's balls, and t = 0 when no root of the
+    block has a neighbour.
 
     The ball expansion behind every power, run on :func:`_root_blocks`, in
     the style of Gustavson's row-wise sparse product (ACM TOMS 4(3), 1978).
@@ -353,34 +362,138 @@ def _power_blocks(g: Graph, r):
     return _root_blocks(g, grow)
 
 
-def power_table(g: Graph, r, edge_cap):
-    """One pass of the power kernel: ``(degrees, power)``.
+def _dense(g: Graph):
+    """Whether g runs on packed bit rows: its CSR index words are at least
+    its bit-row words, 2m >= n * ceil(n / 64)."""
+    return g.indices.size >= g.n * -(-g.n // 64)
 
-    ``degrees[k]`` holds the G^k degrees for k = 0..h, h <= r the last hop
-    that grew a ball, so radius s reads ``degrees[min(s, h)]``.  ``power``
-    is G^r, built from the same blocks; :class:`MemoryBudgetError` past
-    ``edge_cap`` edges, as soon as the rows built so far prove it.  With
-    ``edge_cap`` None no row is kept and ``power`` is None.
+
+def _bit_rows(g: Graph):
+    """The rows of A + I packed 64 vertices to a uint64 word, an
+    (n, ceil(n / 64)) array: vertex v of row u is set when u = v or u ~ v.
+
+    Packed by ``np.packbits`` a slice of rows at a time: n // 8 rows, so
+    that a slice unpacked at a byte per vertex is no larger than the packed
+    rows, or more while it stays under 64 KB (at n = 150, one slice took
+    23 us and nine slices 150 us).  Bits are read back only by
+    :func:`_bit_vertices` and counted by ``np.bitwise_count``, so no shift
+    depends on the byte order.
+    """
+    n = g.n
+    width = -(-n // 64) * 64
+    rows = np.empty((n, width // 64), dtype=np.uint64)
+    step = max(1, n // 8, (1 << 16) // max(width, 64))
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        own = np.arange(b - a) * width
+        flat = np.zeros((b - a) * width, dtype=bool)
+        flat[np.repeat(own, np.diff(g.indptr[a:b + 1]))
+             + g.indices[g.indptr[a]:g.indptr[b]]] = True
+        flat[own + np.arange(a, b)] = True
+        rows[a:b] = (np.packbits(flat, bitorder="little").view(np.uint64)
+                     .reshape(b - a, -1))
+    return rows
+
+
+def _bit_vertices(bits, start=None):
+    """The vertex of every set bit of packed rows, row by row; with
+    ``start``, row i leaves out its root start + i, which it holds.
+
+    The flat positions of one unpacking less each row's offset:
+    ``np.nonzero`` on the 2-d unpacking takes about 10x longer.
+    """
+    counts = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    flat = np.unpackbits(bits.view(np.uint8), bitorder="little").view(bool)
+    offsets = np.arange(len(bits)) * (bits.shape[1] * 64)
+    if start is not None:
+        flat[offsets + np.arange(start, start + len(bits))] = False
+        counts -= 1
+    return np.flatnonzero(flat) - np.repeat(offsets, counts)
+
+
+def _bit_power_blocks(g: Graph, r):
+    """The rows of (A+I)^r on packed bit rows, a block at a time: yields
+    (start, stop, (balls, sizes)), ``balls`` the block's rows as
+    :func:`_bit_rows` packs them and ``sizes`` as :func:`_power_blocks`
+    gives them.
+
+    The dense twin of :func:`_power_blocks`, run on :func:`_root_blocks`:
+    hop 1 copies the roots' rows of A + I, and each later hop ORs the rows
+    of the newest layer into their root's ball (one gather and one
+    ``np.bitwise_or.reduceat``) and counts the balls by
+    ``np.bitwise_count``.  Hop 2 reads the first layer from the CSR rows;
+    each later layer is unpacked from the bits a hop added.  A block
+    charges the driver's budget, in words, with its rows unpacked at one
+    byte per vertex and with the rows each hop gathers.
+    """
+    n = g.n
+    closed = _bit_rows(g)
+    words = closed.shape[1]
+    indptr, indices = g.indptr, g.indices
+
+    def grow(start, roots, expand):
+        stop = start + roots.size
+        expand.charge(8 * words * roots.size)
+        balls = closed[start:stop].copy()
+        cnt = np.diff(indptr[start:stop + 1])
+        front = indices[indptr[start]:indptr[stop]]
+        sizes = [cnt + 1] if front.size else []
+        for hop in range(2, r + 1):
+            if not front.size:
+                break
+            expand.charge(words * front.size)
+            has = np.flatnonzero(cnt)
+            reach = np.bitwise_or.reduceat(closed[front],
+                                           (np.cumsum(cnt) - cnt)[has])
+            if hop < r:
+                new = reach & ~balls[has]
+                cnt = np.zeros_like(cnt)
+                cnt[has] = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
+                front = _bit_vertices(new)
+            balls[has] |= reach
+            sizes.append(np.bitwise_count(balls).sum(axis=1, dtype=np.int64))
+        return balls, sizes
+
+    return _root_blocks(g, grow)
+
+
+def power_table(g: Graph, r, edge_cap):
+    """One pass of the power kernel: ``(degrees, power)``, on packed bit
+    rows when g is dense (:func:`_dense`), else on sorted keys.
+
+    ``degrees[k]`` holds the G^k degrees for k = 0..t, t = min(r, h + 1)
+    with h the last hop that grew a ball (t = 0 when g has no edge), so
+    radius s reads ``degrees[min(s, t)]``: a single edge at r = 5 gives rows
+    0..2.  ``power`` is G^r, built from the same blocks;
+    :class:`MemoryBudgetError` past ``edge_cap`` edges, as soon as the rows
+    built so far prove it.  With ``edge_cap`` None no row is kept and
+    ``power`` is None.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     n = g.n
+    dense = _dense(g)
     degrees = np.zeros((1, n), dtype=np.int64)
     cols = [np.empty(0, dtype=np.int64)]
     half_edges = 0
-    for start, stop, (keys, sizes) in _power_blocks(g, r):
+    for start, stop, (balls, sizes) in (_bit_power_blocks if dense
+                                        else _power_blocks)(g, r):
         grown = len(sizes) + 1 - len(degrees)
         if grown > 0:  # earlier blocks carry their last degrees down
             degrees = np.pad(degrees, ((0, grown), (0, 0)), mode="edge")
         for k, size in enumerate(sizes, 1):  # radius k and the ones past it
             degrees[k:, start:stop] = size - 1
         if edge_cap is not None:
-            half_edges += keys.size - (stop - start)
+            if sizes:
+                half_edges += int(sizes[-1].sum()) - (stop - start)
             if half_edges > 2 * edge_cap:
                 raise MemoryBudgetError(
                     f"explicit power exceeds edge cap {edge_cap}")
-            col = keys % n
-            cols.append(col[col != keys // n + start])
+            if dense:
+                cols.append(_bit_vertices(balls, start))
+            else:
+                col = balls % n
+                cols.append(col[col != balls // n + start])
     if edge_cap is None:
         return degrees, None
     indptr = np.concatenate([[0], np.cumsum(degrees[-1])])

@@ -125,7 +125,10 @@ def block_peaks(g, r):
 
 def degrees_in_small_blocks(g, r, budget):
     """power_degrees under a key budget of a few keys, and its blocks as
-    (rows, peak expansion, sizes halved from), the peaks found by BFS."""
+    (rows, peak expansion, sizes halved from), the peaks found by BFS.  The
+    graph runs on the sort kernel whose keys these peaks count, dense or
+    not; the bit-row kernel charges words and is checked against it in
+    ``test_power_kernel``."""
     yielded = []
     power_blocks = graph._power_blocks
 
@@ -137,6 +140,7 @@ def degrees_in_small_blocks(g, r, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "POWER_KEY_BUDGET", budget)
         mp.setattr(graph, "_power_blocks", record)
+        mp.setattr(graph, "_dense", lambda g: False)
         degs = power_degrees(g, r)
     peaks = block_peaks(g, r)
     cap = graph.POWER_INT32_KEYS // max(g.n, 1)

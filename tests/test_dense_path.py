@@ -1,0 +1,183 @@
+"""The dense path: on a dense graph (``graph._dense``) the power table runs
+on packed bit rows of A + I, and so does the min-degree independent set.
+
+Both paths are run on the same graphs, with the predicate forced each way:
+the degree tables, the powers, the edge-cap refusals and the independent
+sets must be identical.  The bit-row kernel charges the block driver's
+budget, and the two dense inputs the sort kernel was slow on finish
+within a wall-clock bound.
+"""
+
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphpower import MemoryBudgetError, gnp_sample, graph, metrics
+from graphpower.graph import graph_power, power_table
+from graphpower.rng import RandomSource
+
+from power_oracle import scipy_power
+from test_independent_set_oracle import reference_independent_set
+
+
+@st.composite
+def sparse_and_dense_graphs(draw):
+    n = draw(st.integers(0, 150))
+    p = draw(st.one_of(st.floats(0.3, 4.0).map(lambda d: min(1.0, d / max(n, 1))),
+                       st.floats(0.1, 1.0)))
+    return gnp_sample(n, p, RandomSource(draw(st.integers(0, 2 ** 32))))
+
+
+def forced(mp, dense):
+    """Send both the power table and the independent set down one path."""
+    for module in (graph, metrics):
+        mp.setattr(module, "_dense", lambda g: dense)
+
+
+def on_each_path(fn, three_key_budget):
+    """``fn()`` on the sort path and on the bit-row path; an error it
+    raises is returned as its type and message."""
+    out = []
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            forced(mp, dense)
+            if three_key_budget:
+                mp.setattr(graph, "POWER_KEY_BUDGET", 3)
+            try:
+                out.append(fn())
+            except MemoryBudgetError as exc:
+                out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_and_dense_graphs(), st.integers(1, 5), st.booleans(),
+       st.integers(0, 400))
+def test_both_paths_give_the_same_table_and_power(g, r, three_key_budget, cap):
+    (sort_table, sort_power), (bit_table, bit_power) = on_each_path(
+        lambda: power_table(g, r, graph.DEFAULT_EDGE_CAP), three_key_budget)
+    assert np.array_equal(sort_table, bit_table)
+    assert sort_table.dtype == bit_table.dtype == np.int64
+    assert np.array_equal(sort_power.indptr, bit_power.indptr)
+    assert np.array_equal(sort_power.indices, bit_power.indices)
+    assert bit_power.indices.dtype == np.int64
+    if r > 1:
+        oracle = scipy_power(g, r)
+        assert np.array_equal(bit_power.indices, oracle.indices)
+    capped = on_each_path(lambda: power_table(g, r, cap)[1].m, three_key_budget)
+    assert capped[0] == capped[1]
+    assert capped[0] == (sort_power.m if sort_power.m <= cap else (
+        MemoryBudgetError, f"explicit power exceeds edge cap {cap}"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_and_dense_graphs(), st.sampled_from([1, 2]))
+def test_both_paths_give_the_same_independent_set(g, r):
+    gp = graph_power(g, r) if r > 1 else g
+    sort_set, bit_set = on_each_path(
+        lambda: metrics.greedy_independent_set(gp), False)
+    assert sort_set == bit_set == reference_independent_set(gp)
+    assert all(type(v) is int for v in bit_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_and_dense_graphs(), st.integers(1, 4), st.sampled_from([1, 3, 50]))
+def test_bit_blocks_charge_the_driver(g, r, budget):
+    """Each block of the bit-row kernel charges the driver at least its
+    rows unpacked at a byte per vertex and, past r = 1, the rows its second
+    hop gathers (a row per neighbour of a root); one of more than one root
+    stays within the budget; the blocks cover every root once, in order."""
+    blocks = []
+    root_blocks = graph._root_blocks
+
+    def recording(g, grow):
+        def charged(start, roots, expand):
+            totals = []
+
+            def counted(keys):
+                return expand(keys)
+
+            def charge(total):
+                totals.append(total)
+                expand.charge(total)
+
+            counted.charge = charge
+            out = grow(start, roots, counted)
+            blocks.append((start, roots.size, max(totals)))
+            return out
+
+        return root_blocks(g, charged)
+
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, True)
+        mp.setattr(graph, "POWER_KEY_BUDGET", budget)
+        mp.setattr(graph, "_root_blocks", recording)
+        power_table(g, r, None)
+    words = -(-g.n // 64)
+    assert [start for start, _, _ in blocks] == np.cumsum(
+        [0] + [rows for _, rows, _ in blocks])[:-1].tolist()
+    assert sum(rows for _, rows, _ in blocks) == g.n
+    degree = g.degrees()
+    assert all(most >= 8 * words * rows for _, rows, most in blocks)
+    assert r == 1 or all(most >= words * degree[start:start + rows].sum()
+                         for start, rows, most in blocks)
+    assert all(rows == 1 or most <= budget for _, rows, most in blocks)
+
+
+def test_dense_predicate_counts_words():
+    """Dense when 2m >= n * ceil(n / 64): a 64-vertex graph needs 32 edges,
+    a 65-vertex one 65."""
+    def first_edges(n, m):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return graph.Graph.from_edges(n, pairs[:m])
+
+    assert not graph._dense(first_edges(64, 31))
+    assert graph._dense(first_edges(64, 32))
+    assert not graph._dense(first_edges(65, 64))
+    assert graph._dense(first_edges(65, 65))
+    # the dense-chi benchmark input is dense, the sparse workloads are not
+    assert graph._dense(gnp_sample(1000, 30 / 1000, RandomSource(1)))
+    assert not graph._dense(gnp_sample(70_000, 2 / 70_000, RandomSource(1)))
+
+
+def test_dense_square_finishes():
+    """G(600, 0.5)^2 took about 1.2 s on the sort kernel, which expands
+    every path before it deduplicates; on bit rows it takes about 10 ms."""
+    g = gnp_sample(600, 0.5, RandomSource(1))
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = graph_power(g, 2)
+        elapsed.append(time.perf_counter() - start)
+    want = scipy_power(g, 2)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert min(elapsed) < 0.25
+
+
+DENSE_CUBE = """
+from graphpower import RandomSource, gnp_sample, power_degrees
+print(set(power_degrees(gnp_sample(2000, 0.5, RandomSource(1)), 3)))
+"""
+
+
+def test_dense_cube_degrees_finish():
+    """power_degrees(G(2000, 0.5), 3) ran past two minutes on the sort
+    kernel, whose second hop expands about 10**6 keys per row; every
+    vertex is within distance 2 of every other, so each degree is n - 1."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(graph.__file__)),
+                      os.environ.get("PYTHONPATH", "")])))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", DENSE_CUBE], capture_output=True,
+                         text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["{1999}"]
+    assert elapsed < 15

@@ -8,7 +8,9 @@ package needs numpy alone at run time: no module imports scipy, and no
 trial kind or ``graphpower power`` call loads it, since its import alone
 costs about as much set-up time and memory as a trial.  Adjacency lists
 are built only from a pinned list of functions, so a new per-vertex Python
-walk fails here rather than in a profile.  The constants that size a
+walk fails here rather than in a profile.  The dense predicate and the
+packed bit rows are read by a pinned list of functions too, so a third
+dense fork fails here.  The constants that size a
 block of ball expansions are read by the one block driver alone, so a
 second block loop fails here.  No code branches on an experiment kind by
 name, since each kind is one row of the experiments table.  Every
@@ -22,6 +24,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import graphpower
 from graphpower import errors
@@ -140,6 +144,26 @@ def test_adjacency_lists_callers_are_pinned():
                    for owner in calls_by_function(
                        ast.parse(path.read_text(), str(path)), "adjacency_lists"))
     assert found == ADJACENCY_LISTS_CALLERS
+
+
+# every call of the dense predicate and of the bit-row builder in the
+# package, as module:function: the power table and the min-degree
+# independent set, which run on packed bit rows when the graph is dense.
+# A call added here is a third dense fork
+DENSE_CALLERS = {
+    "_dense": ["graph.py:power_table", "metrics.py:greedy_independent_set"],
+    "_bit_rows": ["graph.py:_bit_power_blocks",
+                  "metrics.py:greedy_independent_set"],
+}
+
+
+@pytest.mark.parametrize("callee", sorted(DENSE_CALLERS))
+def test_dense_callers_are_pinned(callee):
+    found = sorted(f"{path.name}:{owner}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for owner in calls_by_function(
+                       ast.parse(path.read_text(), str(path)), callee))
+    assert found == DENSE_CALLERS[callee]
 
 
 # the constants that size a block of ball expansions, read by the one

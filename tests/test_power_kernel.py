@@ -117,9 +117,10 @@ def test_row_cap_binds_at_two_to_the_twenty():
 @settings(max_examples=100, deadline=None)
 @given(random_graphs(), st.integers(1, 6), st.booleans())
 def test_table_holds_every_radius(g, r, three_key_budget):
-    """Row k of the table is the G^k degrees, up to the last hop that grew
-    a ball; the radii past it read the last row.  The power from the same
-    pass is the product's."""
+    """Row k of the table is the G^k degrees for k = 0..t, t = min(r, h + 1)
+    with h the last hop that grew a ball (t = 0 without an edge); the radii
+    past t read the last row.  The power from the same pass is the
+    product's."""
     with pytest.MonkeyPatch.context() as mp:
         if three_key_budget:
             mp.setattr(graph, "POWER_KEY_BUDGET", 3)
