@@ -127,8 +127,8 @@ def degrees_in_small_blocks(g, r, budget):
     """power_degrees under a key budget of a few keys, and its blocks as
     (rows, peak expansion, sizes halved from), the peaks found by BFS.  The
     graph runs on the sort kernel whose keys these peaks count, dense or
-    not; the bit-row kernel charges words and is checked against it in
-    ``test_power_kernel``."""
+    not; the bit-row kernel charges words, which
+    ``test_dense_path.py::test_bit_blocks_charge_the_driver`` checks."""
     yielded = []
     power_blocks = graph._power_blocks
 

@@ -6,7 +6,9 @@ evaluators raise only the package's own error types, which the CLI maps to
 exit codes; a bare ``ValueError`` there would end in a traceback.  The
 package needs numpy alone at run time: no module imports scipy, and no
 trial kind or ``graphpower power`` call loads it, since its import alone
-costs about as much set-up time and memory as a trial.  Adjacency lists
+costs about as much set-up time and memory as a trial.  The numpy floor
+declared in ``pyproject.toml`` has every numpy function the package
+calls.  Adjacency lists
 are built only from a pinned list of functions, so a new per-vertex Python
 walk fails here rather than in a profile.  The dense predicate and the
 packed bit rows are read by a pinned list of functions too, so a third
@@ -21,6 +23,7 @@ fails here rather than in a traced benchmark run.
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +59,26 @@ def test_no_scipy_import_in_package():
             if any(name.split(".")[0] == "scipy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"scipy imported by the package: {', '.join(found)}"
+
+
+# numpy functions the package may call, with the first numpy release that
+# has them, where that is newer than numpy 1.24
+NUMPY_SINCE = {"bitwise_count": (2, 0)}
+
+
+def test_numpy_floor_covers_the_functions_called():
+    used = {node.attr
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in NUMPY_SINCE
+            and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert used, "no call left needs a numpy newer than 1.24"
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject.read_text())
+    assert floor, "pyproject.toml declares no numpy floor"
+    floor = tuple(map(int, floor.groups()))
+    low = sorted(name for name in used if NUMPY_SINCE[name] > floor)
+    assert not low, f"numpy>={floor[0]}.{floor[1]} lacks np.{', np.'.join(low)}"
 
 
 def test_theory_raises_only_package_errors():
