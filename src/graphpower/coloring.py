@@ -1,7 +1,8 @@
 """Proper colorings of graph powers.
 
-Greedy on the rows of an explicit power (one loop over the CSR arrays
-serves both G^r and any explicit graph), exact chromatic number via DSATUR
+Greedy on the rows of an explicit power (one loop serves both G^r and any
+explicit graph: over the CSR rows, or over the packed bit rows of a dense
+graph, with one bitset per color), exact chromatic number via DSATUR
 branch-and-bound on an explicit graph, the constructive two-phase coloring
 that achieves Delta(G^{r-1}) + 1 colors when the high-degree subgraph is a
 forest, and the verifier, both on the power one kernel pass builds.
@@ -17,16 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
-from .graph import (Graph, graph_power, induced_subgraph, is_forest,
+from .graph import (Graph, _dense, graph_power, induced_subgraph, is_forest,
                     neighborhood_union)
 from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
                       power_max_degree)
 
-# rows shorter than this take the smallest absent color from a Python set,
-# longer ones from np.bincount, whose fixed cost is the larger and whose
-# cost per entry the smaller.  Greedy of G(2000, 2/n)^2, rows of about 6:
-# 3.7 ms, 8.8 with bincount alone; of G(1000, 30/n)^2, rows of about 600:
-# 8.4 ms, 26 with sets alone (best of 7, 2-core Xeon, numpy 2.4)
+# on a sparse graph, CSR rows shorter than this take the smallest absent
+# color from a Python set, longer ones from np.bincount, whose fixed cost is
+# the larger and whose cost per entry the smaller.  Greedy of G(2000, 2/n)^2,
+# rows of about 6: 3.7 ms, 8.8 with bincount alone (best of 7, 2-core Xeon,
+# numpy 2.4).  Dense graphs, such as G(1000, 30/n)^2 with rows of about
+# 600, take the bitset loop of _greedy_fill instead
 SHORT_ROW = 64
 
 
@@ -57,13 +59,35 @@ def _mex(used):
 def _greedy_fill(gp: Graph, order, colors):
     """Give each vertex of ``order`` in turn the smallest color absent from
     its row of the explicit graph ``gp``; ``colors`` is an int64 array in
-    which uncolored vertices hold -1.
+    which uncolored vertices hold -1, and ``order`` lists uncolored
+    vertices.
 
-    A row shorter than ``SHORT_ROW`` takes :func:`_mex` of its colors as a
-    set.  A longer one takes the first zero of the counts of its colors
-    shifted by one, so that uncolored neighbours land in the dropped slot 0.
-    Both give the same color.
+    On a dense graph (:func:`graph._dense`) each color keeps one bitset,
+    the OR of the packed closed rows of its vertices (those colored before
+    the call first): color c is absent from the row of v exactly when bit v
+    of its bitset is clear, so v takes the first such color and ORs its row
+    into that bitset.  Otherwise, a CSR row shorter than ``SHORT_ROW``
+    takes :func:`_mex` of its colors as a set, and a longer one the first
+    zero of the counts of its colors shifted by one, so that uncolored
+    neighbours land in the dropped slot 0.  All three give the same color.
     """
+    if _dense(gp):
+        rows = gp.bit_rows()
+        used = int(colors.max(initial=-1)) + 1
+        # a new color is taken only when every used one is blocked by a
+        # neighbour, so none passes max(used, Delta + 1); one zero row more
+        # ends every scan
+        palette = np.zeros((max(used, int(gp.degrees().max(initial=0)) + 1) + 1,
+                            rows.shape[1]), dtype=np.uint64)
+        done = np.flatnonzero(colors >= 0)
+        np.bitwise_or.at(palette, colors[done], rows[done])
+        marks = palette.view(np.uint8)  # bit v & 7 of byte v >> 3 is vertex v
+        for v in order:
+            c = int((marks[:used + 1, v >> 3] & (1 << (v & 7))).argmin())
+            colors[v] = c
+            palette[c] |= rows[v]
+            used = max(used, c + 1)
+        return
     indptr, indices = gp.indptr.tolist(), gp.indices
     for v in order:
         lo, hi = indptr[v], indptr[v + 1]
@@ -85,7 +109,8 @@ def greedy_coloring_explicit(gp: Graph, order=None, radius=1) -> Coloring:
     the given vertex order (default 0..n-1).
 
     Each vertex gets the smallest color absent from its already-colored
-    neighbours.  Runs on the CSR arrays and builds no adjacency lists.
+    neighbours.  Runs on the CSR arrays, or on the packed bit rows of a
+    dense graph, and builds no adjacency lists.
     """
     n = gp.n
     if order is None:

@@ -5,7 +5,9 @@ keys, or on packed bit rows when the graph is dense), balls grown as
 vertex masks, the forest check, and file I/O.
 
 Graphs are stored in compressed-row form (``indptr``/``indices`` a la CSR)
-with strictly sorted adjacency rows, no self-loops and no parallel edges.
+with strictly sorted adjacency rows, no self-loops and no parallel edges;
+a power built on packed bit rows holds those rows and its degree row, and
+derives its ``indices`` from them on first read.
 Vertices are 0-indexed everywhere except at the DIMACS boundary, which is
 1-indexed.  All natural logs throughout the package.
 """
@@ -51,15 +53,18 @@ def first_copies(keys):
 class Graph:
     """Simple undirected graph in compressed adjacency form.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  Caches
+    two derived row forms, the adjacency lists and the packed bit rows of
+    A + I, from which a power built on bit rows unpacks ``indices``.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_adj")
+    __slots__ = ("n", "indptr", "_indices", "_bits", "_adj")
 
     def __init__(self, n, indptr, indices, validate=True):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self._indices = np.asarray(indices, dtype=np.int64)
+        self._bits = None
         self._adj = None
         if validate:
             self._validate()
@@ -97,6 +102,15 @@ class Graph:
         return cls._from_half_edges(n, keys // n, keys % n)
 
     @classmethod
+    def _from_bit_rows(cls, bits, degrees):
+        """The graph whose closed rows are the packed ``bits`` (as
+        :func:`_bit_rows` packs them) and whose degrees are ``degrees``."""
+        g = cls.__new__(cls)
+        g.n, g._indices, g._bits, g._adj = len(bits), None, bits, None
+        g.indptr = np.concatenate([[0], np.cumsum(degrees)])
+        return g
+
+    @classmethod
     def _from_half_edges(cls, n, u, v):
         """CSR from deduplicated i<j half edges, by one sort of the keys
         head * n + tail of both orientations."""
@@ -130,8 +144,17 @@ class Graph:
     # -- queries -----------------------------------------------------------
 
     @property
+    def indices(self) -> np.ndarray:
+        if self._indices is None:
+            bits = self._bits
+            self._indices = np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [_bit_vertices(bits[a:b], a) for a, b in _row_slices(self.n)])
+        return self._indices
+
+    @property
     def m(self) -> int:
-        return self.indices.size // 2
+        return int(self.indptr[-1]) // 2
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -147,6 +170,12 @@ class Graph:
             ptr = self.indptr.tolist()
             self._adj = [idx[ptr[i]:ptr[i + 1]] for i in range(self.n)]
         return self._adj
+
+    def bit_rows(self) -> np.ndarray:
+        """The packed rows of A + I (cached): see :func:`_bit_rows`."""
+        if self._bits is None:
+            self._bits = _bit_rows(self)
+        return self._bits
 
     def has_edge(self, u, v) -> bool:
         row = self.neighbors(u)
@@ -365,26 +394,31 @@ def _power_blocks(g: Graph, r):
 def _dense(g: Graph):
     """Whether g runs on packed bit rows: its CSR index words are at least
     its bit-row words, 2m >= n * ceil(n / 64)."""
-    return g.indices.size >= g.n * -(-g.n // 64)
+    return int(g.indptr[-1]) >= g.n * -(-g.n // 64)
+
+
+def _row_slices(n):
+    """The slices (a, b) of n bit rows packed or unpacked at a time: n // 8
+    rows, so that a slice unpacked at a byte per vertex is no larger than
+    the packed rows, or more while it stays under 64 KB (at n = 150, one
+    slice took 23 us and nine slices 150 us)."""
+    step = max(1, n // 8, (1 << 16) // max(-(-n // 64) * 64, 64))
+    return [(a, min(n, a + step)) for a in range(0, n, step)]
 
 
 def _bit_rows(g: Graph):
     """The rows of A + I packed 64 vertices to a uint64 word, an
     (n, ceil(n / 64)) array: vertex v of row u is set when u = v or u ~ v.
 
-    Packed by ``np.packbits`` a slice of rows at a time: n // 8 rows, so
-    that a slice unpacked at a byte per vertex is no larger than the packed
-    rows, or more while it stays under 64 KB (at n = 150, one slice took
-    23 us and nine slices 150 us).  Bits are read back only by
-    :func:`_bit_vertices` and counted by ``np.bitwise_count``, so no shift
-    depends on the byte order.
+    Packed by ``np.packbits`` a slice of :func:`_row_slices` at a time.
+    Bits are read back only by :func:`_bit_vertices` and as bytes, and
+    counted by ``np.bitwise_count``, so no shift depends on the byte order.
+    Callers read the cached copy of :meth:`Graph.bit_rows`.
     """
     n = g.n
     width = -(-n // 64) * 64
     rows = np.empty((n, width // 64), dtype=np.uint64)
-    step = max(1, n // 8, (1 << 16) // max(width, 64))
-    for a in range(0, n, step):
-        b = min(n, a + step)
+    for a, b in _row_slices(n):
         own = np.arange(b - a) * width
         flat = np.zeros((b - a) * width, dtype=bool)
         flat[np.repeat(own, np.diff(g.indptr[a:b + 1]))
@@ -427,7 +461,7 @@ def _bit_power_blocks(g: Graph, r):
     byte per vertex and with the rows each hop gathers.
     """
     n = g.n
-    closed = _bit_rows(g)
+    closed = g.bit_rows()
     words = closed.shape[1]
     indptr, indices = g.indptr, g.indices
 
@@ -459,7 +493,9 @@ def _bit_power_blocks(g: Graph, r):
 
 def power_table(g: Graph, r, edge_cap):
     """One pass of the power kernel: ``(degrees, power)``, on packed bit
-    rows when g is dense (:func:`_dense`), else on sorted keys.
+    rows when g is dense (:func:`_dense`), else on sorted keys.  A power
+    built on bit rows keeps them as its rows (:meth:`Graph.bit_rows`) and
+    unpacks its CSR ``indices`` only when they are read.
 
     ``degrees[k]`` holds the G^k degrees for k = 0..t, t = min(r, h + 1)
     with h the last hop that grew a ball (t = 0 when g has no edge), so
@@ -474,7 +510,7 @@ def power_table(g: Graph, r, edge_cap):
     n = g.n
     dense = _dense(g)
     degrees = np.zeros((1, n), dtype=np.int64)
-    cols = [np.empty(0, dtype=np.int64)]
+    kept = []
     half_edges = 0
     for start, stop, (balls, sizes) in (_bit_power_blocks if dense
                                         else _power_blocks)(g, r):
@@ -490,14 +526,18 @@ def power_table(g: Graph, r, edge_cap):
                 raise MemoryBudgetError(
                     f"explicit power exceeds edge cap {edge_cap}")
             if dense:
-                cols.append(_bit_vertices(balls, start))
+                kept.append(balls)
             else:
                 col = balls % n
-                cols.append(col[col != balls // n + start])
+                kept.append(col[col != balls // n + start])
     if edge_cap is None:
         return degrees, None
+    if dense:
+        bits = np.concatenate(kept) if kept else np.empty((0, 0), dtype=np.uint64)
+        return degrees, Graph._from_bit_rows(bits, degrees[-1])
     indptr = np.concatenate([[0], np.cumsum(degrees[-1])])
-    return degrees, Graph(n, indptr, np.concatenate(cols), validate=False)
+    cols = np.concatenate([np.empty(0, dtype=np.int64)] + kept)
+    return degrees, Graph(n, indptr, cols, validate=False)
 
 
 def graph_power(g: Graph, r, edge_cap=DEFAULT_EDGE_CAP) -> Graph:

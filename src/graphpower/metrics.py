@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import (Graph, _bit_rows, _dense, _gather_rows, _root_blocks, ball,
+from .graph import (Graph, _dense, _gather_rows, _root_blocks, ball,
                     first_copies, neighborhood_union, power_table)
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -159,25 +159,24 @@ def greedy_independent_set(g: Graph) -> list:
     one go, subtracts one per alive vertex they reach, and finds the
     distinct ones by a sort.
 
-    On a dense graph (:func:`graph._dense`) it runs on the packed rows of
-    A + I instead, and each pick is the first argmin of popcount(row &
+    On a dense graph (:func:`graph._dense`) it runs on the cached packed
+    rows of A + I (:meth:`Graph.bit_rows`; a power built on bit rows holds
+    them already) instead: each pick is the first argmin of popcount(row &
     alive) over the rows of the alive vertices, their alive-degree plus
-    one.
+    one, and its own row is the closed neighbourhood it deletes.
     """
     if _dense(g):
-        rows = _bit_rows(g)
-        alive = np.zeros(rows.shape[1] * 64, dtype=bool)
-        alive[:g.n] = True
+        rows = g.bit_rows()
+        alive = np.packbits(np.arange(rows.shape[1] * 64) < g.n,
+                            bitorder="little").view(np.uint64)
         live = np.arange(g.n)
         chosen = []
         while live.size:
-            words = np.packbits(alive, bitorder="little").view(np.uint64)
-            i = int(np.bitwise_count(rows & words).sum(axis=1).argmin())
-            v = int(live[i])
-            chosen.append(v)
-            alive[v] = False
-            alive[g.neighbors(v)] = False
-            keep = alive[live]
+            i = int(np.bitwise_count(rows & alive).sum(axis=1).argmin())
+            chosen.append(int(live[i]))
+            alive &= ~rows[i]
+            keep = ~np.unpackbits(rows[i].view(np.uint8),
+                                  bitorder="little").view(bool)[live]
             live, rows = live[keep], rows[keep]
         return sorted(chosen)
     indptr, indices = g.indptr.tolist(), g.indices

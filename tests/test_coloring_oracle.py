@@ -4,13 +4,14 @@
 kept verbatim apart from its name (and ``_mex`` inlined from the package):
 it builds the adjacency lists and takes the smallest color absent from each
 vertex's colored neighbours as a set.  The current function runs on the
-CSR arrays and must return the same coloring for every order.
+CSR arrays, or on bit rows when the graph is dense, and must return the
+same coloring for every order.
 
 The greedy and two-phase colorings of G^r ran one truncated BFS per vertex
 before they moved onto the rows of an explicit power; those walks are
-frozen in ``walk_oracle``.  Each case runs with ``SHORT_ROW`` at 0 and
-above n, so every row takes each of the two ways to the smallest absent
-color.
+frozen in ``walk_oracle``.  Each case runs on the CSR rows with
+``SHORT_ROW`` at 0 and above n, and on the bit rows of the dense branch,
+so every row takes each of the three ways to the smallest absent color.
 """
 
 import pytest
@@ -94,11 +95,13 @@ def graphs(draw):
     return gnp_sample(n, draw(st.floats(0.1, 0.99)) / n, src)
 
 
-def on_both_mex_branches(g, color):
-    """``color()`` with every row taking the set, then the bincount."""
+def on_every_branch(g, color):
+    """``color()`` with every CSR row taking the set, then the bincount,
+    then with every graph on the bitsets of the dense branch."""
     out = []
-    for short_row in (g.n + 1, 0):
+    for dense, short_row in ((False, g.n + 1), (False, 0), (True, 0)):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coloring, "_dense", lambda gp: dense)
             mp.setattr(coloring, "SHORT_ROW", short_row)
             out.append(color())
     return out
@@ -117,16 +120,16 @@ def outcome(color):
 def test_greedy_equals_the_bfs_walk(g, r, data):
     for order in (None, data.draw(st.permutations(range(g.n)))):
         want = bfs_greedy_power_coloring(g, r, order)
-        got = on_both_mex_branches(
+        got = on_every_branch(
             g, lambda: greedy_power_coloring(g, r, order).colors)
-        assert got == [want, want]
+        assert got == [want] * 3
 
 
 @SETTINGS
 @given(graphs(), st.integers(2, 4))
 def test_two_phase_equals_the_bfs_walk(g, r):
     want = outcome(lambda: bfs_two_phase_power_coloring(g, r))
-    got = on_both_mex_branches(
+    got = on_every_branch(
         g, lambda: outcome(lambda: two_phase_power_coloring(
             g, r, *power_table(g, r, DEFAULT_EDGE_CAP)).colors))
-    assert got == [want, want]
+    assert got == [want] * 3

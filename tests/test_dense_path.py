@@ -1,29 +1,42 @@
 """The dense path: on a dense graph (``graph._dense``) the power table runs
-on packed bit rows of A + I, and so does the min-degree independent set.
+on packed bit rows of A + I, and so do the greedy coloring and the
+min-degree independent set; a power built on bit rows keeps them and
+derives its CSR only when it is read.
 
 Both paths are run on the same graphs, with the predicate forced each way:
-the degree tables, the powers, the edge-cap refusals and the independent
-sets must be identical.  The bit-row kernel charges the block driver's
-budget, and the two dense inputs the sort kernel was slow on finish
-within a wall-clock bound.
+the degree tables, the powers, the edge-cap refusals, the colorings and
+the independent sets must be identical, and so must every view of a power
+built on bit rows and of its CSR-built twin.  The bit-row kernel charges
+the block driver's budget, a dense-chi trial neither unpacks its power nor
+packs it again, and the two dense inputs the sort kernel was slow on
+finish within a wall-clock bound.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpower import MemoryBudgetError, gnp_sample, graph, metrics
-from graphpower.graph import graph_power, power_table
+import graphpower
+from graphpower import (MemoryBudgetError, coloring, experiments, gnp_sample,
+                        graph, metrics)
+from graphpower.graph import graph_power, power_table, write_edgelist
 from graphpower.rng import RandomSource
 
 from power_oracle import scipy_power
+from record_oracle import oracle_trial
 from test_independent_set_oracle import reference_independent_set
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @st.composite
@@ -35,8 +48,9 @@ def sparse_and_dense_graphs(draw):
 
 
 def forced(mp, dense):
-    """Send both the power table and the independent set down one path."""
-    for module in (graph, metrics):
+    """Send the power table, the greedy coloring and the independent set
+    down one path."""
+    for module in (graph, coloring, metrics):
         mp.setattr(module, "_dense", lambda g: dense)
 
 
@@ -181,3 +195,135 @@ def test_dense_cube_degrees_finish():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["{1999}"]
     assert elapsed < 15
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_and_dense_graphs(), st.integers(1, 3), st.data())
+def test_both_paths_give_the_same_greedy_coloring(g, r, data):
+    """The bitset loop gives each vertex the color the CSR loop gives it,
+    for a random order, and after a partial greedy precoloring filled in
+    index order as the two-phase coloring does; with the whole order it
+    equals networkx's greedy coloring in the same order."""
+    gp = graph_power(g, r) if r > 1 else g
+    order = data.draw(st.permutations(range(gp.n)))
+    first = order[:data.draw(st.integers(0, gp.n))]
+    rest = sorted(set(range(gp.n)) - set(first))
+
+    def fill(*orders):
+        colors = np.full(gp.n, -1, dtype=np.int64)
+        for part in orders:
+            coloring._greedy_fill(gp, part, colors)
+        return colors.tolist()
+
+    for orders in ((order,), (first, rest)):
+        csr, bits = on_each_path(lambda: fill(*orders), False)
+        assert csr == bits
+        assert min(bits, default=0) >= 0
+    h = nx.Graph()
+    h.add_nodes_from(range(gp.n))
+    h.add_edges_from(gp.edge_array().tolist())
+    want = nx.greedy_color(h, strategy=lambda h, colors: iter(order))
+    assert fill(order) == [want[v] for v in range(gp.n)]
+
+
+def counting(mp, name):
+    """Replace ``graph.<name>`` by a wrapper that records each call's
+    arguments in the list it returns."""
+    calls, real = [], getattr(graph, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    mp.setattr(graph, name, wrapper)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_and_dense_graphs(), st.integers(1, 4))
+def test_a_power_on_bit_rows_reads_as_its_csr_twin(g, r):
+    """A power built on bit rows has the CSR arrays, size, degrees, lists
+    and edge-list file of the same power built on sorted keys; its size,
+    degrees and density leave its CSR unbuilt, which is unpacked once; a
+    CSR-built graph packs its bit rows once, as the bit-built one holds."""
+    dense = graph._dense
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, False)
+        twin = power_table(g, r, graph.DEFAULT_EDGE_CAP)[1]
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, True)
+        gp = power_table(g, r, graph.DEFAULT_EDGE_CAP)[1]
+    with pytest.MonkeyPatch.context() as mp:
+        unpacked = counting(mp, "_bit_vertices")
+        packed = counting(mp, "_bit_rows")
+        assert gp.m == twin.m and dense(gp) == dense(twin)
+        assert np.array_equal(gp.degrees(), twin.degrees())
+        assert gp._indices is None and not unpacked
+        assert np.array_equal(gp.indptr, twin.indptr)
+        assert np.array_equal(gp.indices, twin.indices)
+        assert gp.indices.dtype == gp.indptr.dtype == np.int64
+        slices = len(unpacked)
+        assert gp.indices is gp.indices and len(unpacked) == slices
+        assert gp.adjacency_lists() == twin.adjacency_lists()
+        assert np.array_equal(twin.bit_rows(), gp.bit_rows())
+        assert twin.bit_rows() is twin.bit_rows()
+        assert len(packed) == 1 and packed[0][0] is twin
+    with tempfile.TemporaryDirectory() as tmp:
+        texts = []
+        for h in (gp, twin):
+            write_edgelist(h, os.path.join(tmp, "e.txt"))
+            with open(os.path.join(tmp, "e.txt")) as fh:
+                texts.append(fh.read())
+    assert texts[0] == texts[1]
+
+
+def benchmark_ops(seed):
+    """The dense-explicit trial op of the benchmark at ``seed`` and its
+    stored per-trial record digests."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(REPO, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(REPO, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)
+    return workloads, reference["digests"][str(seed)]["dense-explicit"]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_dense_chi_trial_neither_unpacks_nor_repacks_its_power(seed):
+    """A dense-chi trial packs the bit rows of its sample once and colors
+    G^r and takes its independent set on the rows the kernel built: no
+    root-less unpacking (the CSR of G^r) and no packing of G^r.  Its
+    records still match the benchmark's stored digests and the networkx
+    rebuild."""
+    sampled = []
+    real_sample = experiments.gnp_sample
+
+    def sample(*args, **kwargs):
+        sampled.append(real_sample(*args, **kwargs))
+        return sampled[-1]
+
+    workloads, digests = benchmark_ops(seed)
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(experiments, "gnp_sample", sample)
+        unpacked = counting(mp, "_bit_vertices")
+        packed = counting(mp, "_bit_rows")
+        ops = workloads.build(graphpower, "dense-explicit", seed,
+                              os.path.join(tmp, "records.jsonl"), None)
+        for t in range(4):
+            for op in ops:
+                out = op.run(t)
+                assert op.check(t, out) is None
+                assert op.digest(t, out) == digests[op.label][t]
+        small = experiments.ExperimentConfig(kind="dense-chi", n=60, d=12.0,
+                                             r=3, seed=seed)
+        for t in range(3):
+            rec = experiments.run_single_trial(small, t)
+            want = oracle_trial(small, t)
+            assert json.dumps([list(rec.values.items()),
+                               list(rec.exact.items())]) == json.dumps(
+                [list(part.items()) for part in want])
+    assert len(sampled) == 7 and all(graph._dense(g) for g in sampled)
+    assert [args[0] for args in packed] == sampled
+    assert all(len(args) == 1 for args in unpacked)

@@ -169,14 +169,17 @@ def test_adjacency_lists_callers_are_pinned():
     assert found == ADJACENCY_LISTS_CALLERS
 
 
-# every call of the dense predicate and of the bit-row builder in the
-# package, as module:function: the power table and the min-degree
-# independent set, which run on packed bit rows when the graph is dense.
-# A call added here is a third dense fork
+# every call of the dense predicate, of the bit-row packer and of the
+# cached bit rows in the package, as module:function: the power table, the
+# greedy coloring and the min-degree independent set run on packed bit rows
+# when the graph is dense, and only the cache packs them.  A call added
+# here is another dense fork
 DENSE_CALLERS = {
-    "_dense": ["graph.py:power_table", "metrics.py:greedy_independent_set"],
-    "_bit_rows": ["graph.py:_bit_power_blocks",
-                  "metrics.py:greedy_independent_set"],
+    "_dense": ["coloring.py:_greedy_fill", "graph.py:power_table",
+               "metrics.py:greedy_independent_set"],
+    "_bit_rows": ["graph.py:bit_rows"],
+    "bit_rows": ["coloring.py:_greedy_fill", "graph.py:_bit_power_blocks",
+                 "metrics.py:greedy_independent_set"],
 }
 
 
