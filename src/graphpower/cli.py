@@ -14,8 +14,9 @@ import sys
 from . import coloring as col
 from . import experiments, metrics, theory
 from .errors import ConfigError, ForestViolationError, GraphPowerError, require
-from .graph import (gnp_sample, graph_power, power_table, read_dimacs,
-                    read_edgelist, write_dimacs, write_edgelist)
+from .graph import (DEFAULT_EDGE_CAP, SAMPLE_MODES, gnp_sample, graph_power,
+                    power_table, read_dimacs, read_edgelist, write_dimacs,
+                    write_edgelist)
 from .rng import RandomSource
 
 
@@ -42,8 +43,7 @@ def build_parser():
     p_sample.add_argument("--p", type=float, default=None)
     p_sample.add_argument("--d", type=float, default=None)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--mode", default="auto",
-                          choices=["auto", "bernoulli", "skip"])
+    p_sample.add_argument("--mode", default="auto", choices=SAMPLE_MODES)
     p_sample.add_argument("--out", required=True,
                           help=".col writes DIMACS, anything else edge list")
     p_sample.set_defaults(run=_cmd_sample)
@@ -51,7 +51,7 @@ def build_parser():
     p_power = subs.add_parser("power", help="materialize an explicit power")
     p_power.add_argument("--in", dest="infile", required=True)
     p_power.add_argument("--r", type=int, required=True)
-    p_power.add_argument("--edge-cap", type=int, default=10 ** 8)
+    p_power.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
     p_power.add_argument("--out", required=True)
     p_power.set_defaults(run=_cmd_power)
 
@@ -68,8 +68,9 @@ def build_parser():
     p_color.add_argument("--r", type=int, required=True)
     p_color.add_argument("--method", default="two-phase",
                          choices=["greedy", "two-phase", "dsatur-exact"])
-    p_color.add_argument("--chi-budget", type=int, default=2_000_000)
-    p_color.add_argument("--edge-cap", type=int, default=10 ** 8)
+    p_color.add_argument("--chi-budget", type=int,
+                         default=experiments.DEFAULT_CHI_BUDGET)
+    p_color.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
     p_color.add_argument("--out", default=None)
     p_color.set_defaults(run=_cmd_color)
 

@@ -235,8 +235,9 @@ def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
     from the degree table and G^r = ``gp`` of one ``power_table`` pass.
 
     Phase 1 colors the high-degree set S over the forest induced by
-    S and its radius-r neighborhood, trees rooted at their smallest vertex
-    and traversed in BFS order.  Phase 2 colors the remaining vertices in
+    S and its radius-r neighborhood, in the BFS visit order the forest
+    check (:func:`graph.is_forest`) returns: trees rooted at their smallest
+    vertex.  Phase 2 colors the remaining vertices in
     increasing index order.  Both run the greedy on the rows of ``gp``.
     Raises ForestViolationError (with a witness cycle in original indices)
     when the forest condition fails; callers may fall back to greedy.
@@ -252,25 +253,9 @@ def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
         # closure is sorted, so h's vertex x is closure[x]
         closure = neighborhood_union(g, s_set, r)
         h, _ = induced_subgraph(g, closure)
-        forest, cycle = is_forest(h)
+        forest, walk = is_forest(h)
         if not forest:
-            raise ForestViolationError([closure[x] for x in cycle])
-        # phase 1 order: the S-vertices in BFS visit order over each tree;
-        # the first unreached vertex in index order is its tree's smallest
-        adj = h.adjacency_lists()
-        seen = [False] * h.n
-        walk, i = [], 0
-        for root in range(h.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            walk.append(root)
-            while i < len(walk):
-                for y in adj[walk[i]]:
-                    if not seen[y]:
-                        seen[y] = True
-                        walk.append(y)
-                i += 1
+            raise ForestViolationError([closure[x] for x in walk])
         in_s = set(s_set)
         phase1 = [closure[x] for x in walk if closure[x] in in_s]
 

@@ -30,8 +30,8 @@ from . import coloring as col
 from . import metrics, theory
 from .errors import (BudgetExceededError, ConfigError, DomainError,
                      ForestViolationError, require)
-from .graph import (DEFAULT_EDGE_CAP, ball, gnp_sample, graph_power,
-                    induced_subgraph, power_table)
+from .graph import (DEFAULT_EDGE_CAP, SAMPLE_MODES, ball, gnp_sample,
+                    graph_power, induced_subgraph, power_table)
 from .rng import RandomSource, derive_seed
 
 # fields that define the experiment semantically (hashed into every record
@@ -39,6 +39,9 @@ from .rng import RandomSource, derive_seed
 _HASH_FIELDS = ("kind", "n", "d", "r", "epsilon", "trials", "seed",
                 "clique_budget", "chi_budget", "edge_cap", "degree_cap",
                 "measure_z", "sample_mode")
+
+# the node budget of the exact chromatic certificate
+DEFAULT_CHI_BUDGET = 2_000_000
 
 
 @dataclass
@@ -51,9 +54,9 @@ class ExperimentConfig:
     epsilon: float = 0.1
     trials: int = 1
     seed: int = 0
-    clique_budget: int = 5_000_000
-    chi_budget: int = 2_000_000
-    edge_cap: int = 10 ** 8
+    clique_budget: int = metrics.DEFAULT_NODE_BUDGET
+    chi_budget: int = DEFAULT_CHI_BUDGET
+    edge_cap: int = DEFAULT_EDGE_CAP
     degree_cap: int = 15
     measure_z: bool = False
     sample_mode: str = "auto"
@@ -78,9 +81,9 @@ class ExperimentConfig:
             raise ConfigError("edge probability must be in [0, 1]")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.sample_mode not in ("auto", "bernoulli", "skip"):
+        if self.sample_mode not in SAMPLE_MODES:
             raise ConfigError(f"unknown sample_mode {self.sample_mode!r}; "
-                              "use auto, bernoulli or skip")
+                              f"use one of {', '.join(SAMPLE_MODES)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for key in ("clique_budget", "chi_budget", "edge_cap", "degree_cap"):

@@ -22,6 +22,7 @@ from .errors import MemoryBudgetError
 from .rng import RandomSource
 
 DEFAULT_EDGE_CAP = 10 ** 8
+SAMPLE_MODES = ("auto", "bernoulli", "skip")
 # uniforms per draw of the bernoulli sampler.  A 64 KB draw stays under
 # glibc's 128 KiB mmap threshold: 512 KB draws raised the peak RSS of a
 # 1000-vertex dense trial loop by up to 9 MB, and one draw of all 2**21
@@ -214,6 +215,8 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
         raise ValueError("p must be in [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if mode not in SAMPLE_MODES:
+        raise ValueError(f"unknown sampling mode {mode!r}")
     total = n * (n - 1) // 2
     if n <= 1 or p == 0.0:
         return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
@@ -232,7 +235,7 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
         lin = np.concatenate([
             np.flatnonzero(raw(min(UNIFORM_CHUNK, total - s)) < below) + s
             for s in range(0, total, UNIFORM_CHUNK)])
-    elif mode == "skip":
+    else:
         # geometric-skip over linear pair indices 0..total-1
         log1mp = np.log1p(-p)
         positions = []
@@ -247,8 +250,6 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
             batch = 1024
         lin = np.concatenate(positions)
         lin = lin[lin < total]
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
     # row offsets: row i spans lengths n-1-i
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
@@ -588,21 +589,29 @@ def induced_subgraph(g: Graph, s):
 
 
 def is_forest(g: Graph):
-    """(True, None) if acyclic, else (False, witness cycle vertex list)."""
+    """(True, visit order) if g is acyclic, else (False, witness cycle).
+
+    The one walk over a forest: a breadth-first pass from the smallest
+    unvisited vertex of each tree in turn, neighbours in increasing order.
+    On a forest the only visited neighbour of a vertex is its parent, so
+    any other one closes a cycle, read off by walking both ends up to
+    their common ancestor.
+    """
     adj = g.adjacency_lists()
     parent = [None] * g.n  # None unseen, -1 a root
-    for start in range(g.n):
-        if parent[start] is not None:
+    order, i = [], 0
+    for root in range(g.n):
+        if parent[root] is not None:
             continue
-        parent[start] = -1
-        stack = [start]
-        while stack:
-            u = stack.pop()
+        parent[root] = -1
+        order.append(root)
+        while i < len(order):
+            u = order[i]
             for w in adj[u]:
-                if w == parent[u]:
-                    continue
-                if parent[w] is not None:
-                    # back edge: walk both endpoints to their common root
+                if parent[w] is None:
+                    parent[w] = u
+                    order.append(w)
+                elif w != parent[u]:
                     path_u = [u]
                     while parent[path_u[-1]] != -1:
                         path_u.append(parent[path_u[-1]])
@@ -612,9 +621,8 @@ def is_forest(g: Graph):
                         path_w.append(parent[path_w[-1]])
                     meet = path_u.index(path_w[-1])
                     return False, path_w + path_u[:meet][::-1]
-                parent[w] = u
-                stack.append(w)
-    return True, None
+            i += 1
+    return True, order
 
 
 # -- file formats ----------------------------------------------------------

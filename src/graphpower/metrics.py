@@ -71,13 +71,11 @@ def clique_lower_bound(degrees, r) -> int:
 
 
 def _adjacency_bitsets(g: Graph):
-    bits = [0] * g.n
-    for v, row in enumerate(g.adjacency_lists()):
-        b = 0
-        for w in row:
-            b |= 1 << w
-        bits[v] = b
-    return bits
+    """The rows of A as Python ints, bit w of row v set when v ~ w: the
+    cached bit rows of A + I (:meth:`Graph.bit_rows`) read as little-endian
+    bytes, each less its own vertex's bit."""
+    return [int.from_bytes(row.tobytes(), "little") ^ (1 << v)
+            for v, row in enumerate(g.bit_rows())]
 
 
 def _max_clique_bitset(n, adjbits, node_budget):

@@ -1,7 +1,7 @@
 """Balls, the frozen truncated BFS of ``walk_oracle`` that the other
-oracles run on, and the (A+I)^r block kernel behind ``power_degrees`` and
-``graph_power``, against networkx and the scipy product in
-``power_oracle``.
+oracles run on, the (A+I)^r block kernel behind ``power_degrees`` and
+``graph_power``, and the forest check's one breadth-first pass, against
+networkx, the scipy product in ``power_oracle`` and the frozen forest walk.
 """
 
 import json
@@ -9,17 +9,18 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphpower import (Coloring, Graph, ball, gnp_sample, graph,
-                        graph_power, greedy_power_coloring, neighborhood_union,
-                        power_degrees, verify_proper_power_coloring)
+                        graph_power, greedy_power_coloring, is_forest,
+                        neighborhood_union, power_degrees,
+                        verify_proper_power_coloring)
 from graphpower.coloring import greedy_coloring_explicit
 from graphpower.rng import RandomSource
 
 from power_oracle import scipy_power
-from walk_oracle import _truncated_bfs
+from walk_oracle import _truncated_bfs, bfs_forest_walk
 
 SETTINGS = settings(max_examples=150, deadline=None)
 radii = st.integers(0, 4)
@@ -243,3 +244,53 @@ def test_greedy_implicit_equals_explicit(data, g, r):
     implicit = greedy_power_coloring(g, r, order)
     explicit = greedy_coloring_explicit(graph_power(g, r), order)
     assert implicit.colors == explicit.colors
+
+
+@st.composite
+def forests(draw):
+    """A forest of several trees on n <= 40 vertices, n = 0 and 1
+    included: each vertex is a new root or hangs below an earlier one, and
+    the labels are then shuffled, so a tree's smallest vertex may sit
+    anywhere in it."""
+    n = draw(st.integers(0, 40))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)
+             if draw(st.booleans())]
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests())
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(1, []))
+def test_forest_order_is_the_bfs_from_each_smallest_root(g):
+    h = nx_graph(g)
+    expected = []
+    for tree in sorted(nx.connected_components(h), key=min):
+        root = min(tree)
+        expected += [root] + [w for _, w in nx.bfs_edges(
+            h, root, sort_neighbors=sorted)]
+    assert is_forest(g) == (True, expected)
+    assert bfs_forest_walk(g) == expected
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """A graph of n <= 30 vertices with random edges and at least one cycle,
+    laid on k >= 3 distinct vertices."""
+    n = draw(st.integers(3, 30))
+    ring = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=n,
+                         unique=True))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    extra = [(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v]
+    ring_edges = list(zip(ring, ring[1:] + ring[:1]))
+    return Graph.from_edges(n, ring_edges + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_graphs())
+def test_witness_is_a_simple_cycle_of_g(g):
+    ok, cycle = is_forest(g)
+    assert not ok
+    assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+    assert all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))

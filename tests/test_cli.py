@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpower import (RandomSource, cli, experiments, gnp_sample,
-                        read_edgelist, u_value, write_edgelist)
+from graphpower import (ConfigError, RandomSource, cli, experiments,
+                        gnp_sample, graph, metrics, read_edgelist, u_value,
+                        write_edgelist)
 from graphpower.cli import main
 
 from compositions import feasible_compositions
@@ -456,6 +457,49 @@ class TestVerifyCommand:
         monkeypatch.setattr(experiments, "verify_theorem", no_campaign)
         assert main(["verify-theorem", "th2", "--workers", workers]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """Each default and each choice is written once in the package; the
+    flags, the config fields and the sampler read the same values, and the
+    values themselves are pinned, since they enter every config hash."""
+
+    def parse(self, *argv):
+        return vars(cli.build_parser().parse_args(list(argv)))
+
+    def config(self, **kw):
+        return experiments.ExperimentConfig(kind="delta-concentration",
+                                            n=1000, r=2, d=1.0, **kw)
+
+    def test_flags_and_config_share_the_defaults(self):
+        power = self.parse("power", "--in", "g", "--r", "2", "--out", "h")
+        color = self.parse("color", "--in", "g", "--r", "2")
+        sample = self.parse("sample", "--n", "5", "--d", "1", "--out", "g")
+        cfg = self.config()
+        assert (power["edge_cap"] == color["edge_cap"] == cfg.edge_cap
+                == graph.DEFAULT_EDGE_CAP == 10 ** 8)
+        assert (color["chi_budget"] == cfg.chi_budget
+                == experiments.DEFAULT_CHI_BUDGET == 2_000_000)
+        assert cfg.clique_budget == metrics.DEFAULT_NODE_BUDGET == 5_000_000
+        assert sample["mode"] == cfg.sample_mode == "auto"
+
+    def test_sampler_config_and_flag_take_the_same_modes(self):
+        def accepts(fn, error):
+            try:
+                fn()
+            except error:
+                return False
+            return True
+
+        assert graph.SAMPLE_MODES == ("auto", "bernoulli", "skip")
+        for mode in (*graph.SAMPLE_MODES, "foo"):
+            assert (accepts(lambda: self.parse("sample", "--n", "5", "--d", "1",
+                                               "--out", "g", "--mode", mode),
+                            SystemExit)
+                    == accepts(lambda: self.config(sample_mode=mode), ConfigError)
+                    == accepts(lambda: gnp_sample(1, 0.5, RandomSource(0),
+                                                  mode=mode), ValueError)
+                    == (mode in graph.SAMPLE_MODES)), mode
 
 
 class TestOutOfRangeFlags:

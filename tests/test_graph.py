@@ -263,8 +263,8 @@ class TestInducedSubgraph:
 
 class TestForest:
     def test_tree(self):
-        ok, witness = is_forest(path_graph(6))
-        assert ok and witness is None
+        ok, order = is_forest(path_graph(6))
+        assert ok and order == [0, 1, 2, 3, 4, 5]
 
     def test_triangle_witness(self):
         ok, witness = is_forest(cycle_graph(3))

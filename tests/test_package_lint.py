@@ -124,14 +124,14 @@ def test_no_trial_kind_or_power_command_imports_scipy():
 
 
 # every call of adjacency_lists in the package, as module:function: the
-# Python loops of the DSATUR, clique and forest code.  Balls, powers and
-# colorings run on the CSR arrays; a call added here is a new Python walk
+# Python loops of the DSATUR and forest code.  Balls, powers and colorings
+# run on the CSR arrays, the two-phase coloring takes its order from the
+# forest check's one walk, and the clique search reads the bit rows; a call
+# added here is a new Python walk
 ADJACENCY_LISTS_CALLERS = sorted([
     "coloring.py:dsatur_chromatic_exact",
     "coloring.py:dsatur_greedy",
-    "coloring.py:two_phase_power_coloring",         # the BFS over the forest
     "graph.py:is_forest",
-    "metrics.py:_adjacency_bitsets",
 ])
 
 
@@ -173,12 +173,15 @@ def test_adjacency_lists_callers_are_pinned():
 # cached bit rows in the package, as module:function: the power table, the
 # greedy coloring and the min-degree independent set run on packed bit rows
 # when the graph is dense, and only the cache packs them.  A call added
-# here is another dense fork
+# here is another dense fork.  The clique search reads the bit rows of
+# every graph as Python ints (metrics.py:_adjacency_bitsets), which is the
+# one packer's output and not a dense fork
 DENSE_CALLERS = {
     "_dense": ["coloring.py:_greedy_fill", "graph.py:power_table",
                "metrics.py:greedy_independent_set"],
     "_bit_rows": ["graph.py:bit_rows"],
     "bit_rows": ["coloring.py:_greedy_fill", "graph.py:_bit_power_blocks",
+                 "metrics.py:_adjacency_bitsets",
                  "metrics.py:greedy_independent_set"],
 }
 

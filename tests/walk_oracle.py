@@ -1,13 +1,16 @@
 """References for the ball-expansion and coloring tests: the per-vertex
 Python walks that computed short cycles, co-degrees, the coloring verdict,
-the greedy and the two-phase coloring of G^r, and the component labels,
-before those moved onto numpy ball expansions and explicit powers, kept as
-they were.  They share a frozen copy of the truncated BFS they ran on, so
-they stay fixed whatever becomes of the package.  The one change: the
-verdict's witness is now the lexicographically first violating pair, where
-it was the first w in the BFS visit order from v; and the two-phase
+the greedy and the two-phase coloring of G^r, the component labels and the
+phase-1 walk over the two-phase forest, before those moved onto numpy ball
+expansions, explicit powers and the forest check's own breadth-first pass,
+kept as they were.  They share a frozen copy of the truncated BFS they ran
+on, so they stay fixed whatever becomes of the package.  The one change:
+the verdict's witness is now the lexicographically first violating pair,
+where it was the first w in the BFS visit order from v; and the two-phase
 coloring counts its G^r degrees by the same BFS, where it called the
-package's ``power_max_degree`` and ``high_degree_set``."""
+package's ``power_max_degree`` and ``high_degree_set``.  It still asks the
+package's ``is_forest`` whether the closure is a forest, and for the
+witness cycle when it is not."""
 
 from collections import Counter
 
@@ -142,6 +145,22 @@ def bfs_greedy_power_coloring(g, r, order=None):
     return colors
 
 
+def bfs_forest_walk(h):
+    """Every vertex of h, tree by tree in the order of their smallest
+    vertices, each tree in BFS visit order from its smallest vertex."""
+    label, _ = connected_components(h)
+    roots = []
+    for x, c in enumerate(label):
+        if c == len(roots):
+            roots.append(x)
+    walk = []
+    for root, layers in zip(roots, _truncated_bfs(h, h.n, zip(roots))):
+        walk.append(root)
+        for layer in layers:
+            walk.extend(layer)
+    return walk
+
+
 def bfs_two_phase_power_coloring(g, r):
     """The colors of the two-phase coloring of G^r (r >= 2), or
     ForestViolationError with its witness cycle; the S-vertices are colored
@@ -159,16 +178,7 @@ def bfs_two_phase_power_coloring(g, r):
         forest, cycle = is_forest(h)
         if not forest:
             raise ForestViolationError([closure[x] for x in cycle])
-        label, _ = connected_components(h)
-        roots = []
-        for x, c in enumerate(label):
-            if c == len(roots):
-                roots.append(x)
-        walk = []
-        for root, layers in zip(roots, _truncated_bfs(h, h.n, zip(roots))):
-            walk.append(root)
-            for layer in layers:
-                walk.extend(layer)
+        walk = bfs_forest_walk(h)
         in_s = set(s_set)
         _greedy_fill(g, r, [closure[x] for x in walk if closure[x] in in_s], colors)
     _greedy_fill(g, r, [v for v in range(n) if colors[v] < 0], colors)
