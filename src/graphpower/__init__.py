@@ -20,9 +20,9 @@ _EXPORTS = {
                "power_neighborhood_edge_count short_cycle_proximity",
     "coloring": "Coloring dsatur_chromatic_exact greedy_power_coloring "
                 "two_phase_power_coloring verify_proper_power_coloring",
-    "theory": "DegreeProfile LagrangeSolution TheoryParams aks_chi_bound d_star "
-              "degree_sum_pmf iterated_log janson_k0 janson_mu layer_entropy "
-              "lemma2_min_exact lemma2_min_lagrange log_u u_value",
+    "theory": "DegreeProfile LagrangeSolution aks_chi_bound d_star degree_sum_pmf "
+              "iterated_log janson_k0 janson_mu layer_entropy lemma2_min_exact "
+              "lemma2_min_lagrange log_u u_value",
     "experiments": "ExperimentConfig TrialRecord emit parse_config_file "
                    "read_records run_experiment verify_theorem",
     "rng": "RandomSource derive_seed splitmix64",

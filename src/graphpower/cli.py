@@ -124,15 +124,6 @@ def _lemma2_lagrange(big_d, r):
             "residual": sol.residual}
 
 
-def _janson_k0(n, d, r, epsilon):
-    return {"value": theory.janson_k0(theory.TheoryParams(n, d, r, epsilon))}
-
-
-def _janson_mu(n, d, r, epsilon, k):
-    params = theory.TheoryParams(n, d, r, epsilon)
-    return {"value": theory.janson_mu(params, k)}
-
-
 # formula -> (its keys and their types in call order, the call that turns
 # their values into the result fields)
 _FORMULAS = {
@@ -144,15 +135,14 @@ _FORMULAS = {
                    _value(theory.degree_sum_pmf)),
     "lemma2-exact": ({"D": int, "r": int}, _lemma2_exact),
     "lemma2-lagrange": ({"D": float, "r": int}, _lemma2_lagrange),
-    "janson-k0": ({"n": int, "d": float, "r": int, "epsilon": float},
-                  _janson_k0),
-    "janson-mu": ({"n": int, "d": float, "r": int, "epsilon": float, "k": int},
-                  _janson_mu),
+    "janson-k0": ({"n": int, "d": float, "r": int}, _value(theory.janson_k0)),
+    "janson-mu": ({"n": int, "d": float, "r": int, "k": int},
+                  _value(theory.janson_mu)),
     "aks-bound": ({"delta": float, "t": float, "c": float},
                   _value(theory.aks_chi_bound)),
 }
 # the keys a formula may leave out
-_DEFAULTS = {"epsilon": 0.1, "c": 1.0}
+_DEFAULTS = {"c": 1.0}
 
 
 def _eval_formula(formula, params):
@@ -311,7 +301,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (GraphPowerError, MemoryError) as exc:
+    except (GraphPowerError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from collections import namedtuple
@@ -182,8 +183,9 @@ def _measure_delta(cfg, g):
 
 def _color_power(cfg, g):
     """(degree table, coloring, two_phase_ok, proper) from one pass over
-    G^r under the default cap; greedy on it when the forest check fails."""
-    degrees, gp = power_table(g, cfg.r, DEFAULT_EDGE_CAP)
+    G^r under the config's edge cap; greedy on it when the forest check
+    fails."""
+    degrees, gp = power_table(g, cfg.r, cfg.edge_cap)
     try:
         c, ok = col.two_phase_power_coloring(g, cfg.r, degrees, gp), True
     except ForestViolationError:
@@ -332,10 +334,12 @@ def run_experiment(cfg: ExperimentConfig):
     """Run all trials; returns (summary, records) and writes cfg.out if set.
 
     Trials are independent tasks; per-trial seeding makes results identical
-    at any worker count.
+    at any worker count.  The pool starts all its processes at once, so it
+    gets no more than there are trials or CPUs; one runs serially.
     """
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_single_trial, [cfg] * cfg.trials,
                                     range(cfg.trials)))
     else:

@@ -55,37 +55,6 @@ class DegreeProfile:
         return True
 
 
-@dataclass(frozen=True)
-class TheoryParams:
-    """Parameter bundle (n, d, r, epsilon) for the closed-form evaluators."""
-
-    n: int
-    d: float
-    r: int
-    epsilon: float = 0.1
-
-    def __post_init__(self):
-        if not (self.n >= 1 and math.isfinite(self.d) and self.d > 0
-                and self.r >= 1):
-            raise DomainError("require n >= 1, finite d > 0, r >= 1")
-        if not 0 < self.epsilon < 1 / self.r:
-            raise DomainError("require 0 < epsilon < 1/r")
-
-    @property
-    def p(self):
-        return self.d / self.n
-
-    @property
-    def nu0(self):
-        """Co-degree sparsity level d^(1-epsilon)."""
-        return self.d ** (1 - self.epsilon)
-
-    @property
-    def alpha(self):
-        """Independence-counting constant 10 * r!."""
-        return 10 * math.factorial(self.r)
-
-
 def iterated_log(x: float, k: int) -> float:
     """Natural log applied k times; k = 0 returns x."""
     if k < 0:
@@ -156,15 +125,16 @@ def degree_pmf(d, r, top) -> list:
     process (layer-size law ``u_value``), with generating function H_r,
     H_0 = 1, H_k(z) = exp(d(z H_{k-1}(z) - 1)).  Each round exponentiates
     the series a = d z H_{k-1}: b_0 = e^{-d}, m b_m = sum_k k a_k b_{m-k},
-    all terms nonnegative.  Raises BudgetExceededError when r (top+1)^2
-    exceeds DEFAULT_ENUM_WORK_CAP, DomainError when d is not finite and
+    all terms nonnegative.  Raises BudgetExceededError when
+    max(r, 1) (top+1)^2 exceeds DEFAULT_ENUM_WORK_CAP (the list alone
+    costs top + 1 at r = 0), DomainError when d is not finite and
     nonnegative, r < 0 or e^{-d} underflows.
     """
     if not (math.isfinite(d) and d >= 0):
         raise DomainError(f"d must be finite and >= 0, got {d}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    if r * (top + 1) ** 2 > DEFAULT_ENUM_WORK_CAP:
+    if max(r, 1) * (top + 1) ** 2 > DEFAULT_ENUM_WORK_CAP:
         raise BudgetExceededError(
             f"pmf to D={top} at r={r} exceeds work cap {DEFAULT_ENUM_WORK_CAP}")
     b0 = math.exp(-d)
@@ -254,8 +224,8 @@ def lemma2_min_exact(big_d, r):
     ks = range(1, min(r - 1, big_d) + 1)
     for k in ks:   # one unit at least per profile or prefix: refuse early
         charge(math.comb(big_d - 1, k - 1))
-    for k in ks:
-        for cuts in combinations(range(1, big_d), k - 1):
+    for k in ks:   # k = 1: the empty cut alone, without copying range(1, D)
+        for cuts in combinations(range(1, big_d), k - 1) if k > 1 else [()]:
             parts = _parts(cuts, big_d)
             if k < r - 1:
                 candidates = [parts + (0,) * (r - k)]
@@ -365,25 +335,42 @@ def lemma2_min_lagrange(big_d, r) -> LagrangeSolution:
 # -- independence counting and chromatic bounds ----------------------------
 
 
-def janson_k0(params: TheoryParams) -> float:
-    """Independent-set size threshold 10 r! n log d / d^r (needs d > 1)."""
-    if params.d <= 1:
+def _require_janson_domain(n, d, r):
+    if not (n >= 1 and math.isfinite(d) and d > 0 and r >= 1):
+        raise DomainError("require n >= 1, finite d > 0, r >= 1")
+
+
+def _exp_in_range(log_value, what):
+    """e^log_value, or DomainError when it passes the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(
+            f"{what} = e^{log_value:.6g} overflows a float") from None
+
+
+def janson_k0(n, d, r) -> float:
+    """Independent-set size threshold 10 r! n log d / d^r (needs d > 1),
+    evaluated in log space."""
+    _require_janson_domain(n, d, r)
+    if d <= 1:
         raise DomainError("k0 requires d > 1")
-    return params.alpha * params.n * math.log(params.d) / params.d ** params.r
+    log_k0 = (math.log(10) + math.lgamma(r + 1) + math.log(n)
+              + math.log(math.log(d)) - r * math.log(d))
+    return _exp_in_range(log_k0, "k0")
 
 
-def janson_mu(params: TheoryParams, k) -> float:
-    """Expected path count C(k,2) C(n-2, r-1) p^r, evaluated in log space."""
+def janson_mu(n, d, r, k) -> float:
+    """Expected path count C(k,2) C(n-2, r-1) p^r with p = d/n, evaluated
+    in log space."""
+    _require_janson_domain(n, d, r)
     if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    if k < 2:
-        return 0.0
-    n, r = params.n, params.r
-    if n - 2 < r - 1:
+    if k < 2 or n - 2 < r - 1:
         return 0.0
     log_mu = (_log_binomial(k, 2) + _log_binomial(n - 2, r - 1)
-              + r * math.log(params.p))
-    return math.exp(log_mu)
+              + r * math.log(d / n))
+    return _exp_in_range(log_mu, "mu")
 
 
 def _log_binomial(n, k):

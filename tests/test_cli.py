@@ -190,9 +190,10 @@ class TestEval:
     @pytest.mark.parametrize("argv,key", [
         (["d-star", "n=100000", "r=2", "foo=3"], "foo="),
         (["janson-k0", "n=1000", "d=10", "r=2", "eps=0.3"], "eps="),
+        # no formula reads epsilon; it once was a key with a default
+        (["janson-k0", "n=1000", "d=5", "r=2", "epsilon=0.1"], "epsilon="),
     ])
     def test_key_the_formula_does_not_take_exit_2(self, capsys, argv, key):
-        # a misspelt epsilon would otherwise fall back to its default
         assert main(["eval", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -217,7 +218,7 @@ class TestEval:
     @pytest.mark.parametrize("argv,key", [
         (["degree-pmf", "d=2", "r=2", "D=x"], "D='x'"),
         (["u-value", "ell=1,x", "d=2"], "ell='1,x'"),
-        (["janson-k0", "n=100", "d=2", "r=2", "epsilon=zz"], "epsilon='zz'"),
+        (["janson-k0", "n=100", "d=zz", "r=2"], "d='zz'"),
     ])
     def test_value_that_does_not_parse_exit_2(self, capsys, argv, key):
         assert main(["eval", *argv]) == 2
@@ -270,11 +271,45 @@ class TestEval:
         assert "2 <= t <= delta < inf" in captured.err
 
     def test_janson_mu_negative_k_exit_1(self, capsys):
-        argv = ["janson-mu", "n=1000", "d=10", "r=1", "epsilon=0.5", "k=-3"]
+        argv = ["janson-mu", "n=1000", "d=10", "r=1", "k=-3"]
         assert main(["eval", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: k must be >= 0, got -3\n"
         assert captured.out == ""
+
+    # each once ended in an OverflowError traceback
+    @pytest.mark.parametrize("argv", [
+        ["janson-mu", "n=1000", "d=10", "r=2", f"k={10 ** 400}"],
+        ["u-value", f"ell={10 ** 400}", "d=2"],
+        ["log-u", f"ell=2,{10 ** 400}", "d=2"],
+        ["lemma2-exact", "D=5", f"r={10 ** 20}"],
+        ["janson-k0", "n=1000", "d=10", "r=400"],
+    ], ids=["mu-huge-k", "u-huge-layer", "log-u-huge-layer", "lemma2-huge-r",
+            "k0-past-float-range"])
+    def test_overflow_exit_1(self, capsys, argv):
+        assert main(["eval", *argv]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv, value", [
+        # refused at epsilon's old default, which capped r below 10
+        (["n=1000", "d=5", "r=20"], 4.105809144522e8),
+        # 10 * 200! once overflowed on its way to a value that fits a float
+        (["n=1000", "d=10", "r=200"], 1.8159518488665e179),
+    ])
+    def test_janson_k0_at_large_r(self, capsys, argv, value):
+        code, rep = run(capsys, "eval", "janson-k0", *argv)
+        assert code == 0 and rep["value"] == pytest.approx(value, rel=1e-12)
+
+    # the pmf at r = 0 once built a D-entry list; lemma2-exact at r = 2
+    # once copied range(1, D), which overflowed at D = 10^20
+    def test_large_d_answered_or_refused_at_once(self, capsys):
+        assert main(["eval", "degree-pmf", "d=2", "r=0", "D=10000000"]) == 1
+        assert "exceeds work cap" in capsys.readouterr().err
+        code, rep = run(capsys, "eval", "lemma2-exact", f"D={10 ** 20}", "r=2")
+        assert code == 0 and sum(rep["argmin"]) == 10 ** 20
 
     def test_undecodable_batch_exit_2(self, tmp_path, capsys):
         batch = tmp_path / "batch.txt"
@@ -289,7 +324,7 @@ class TestEval:
         batch = tmp_path / "batch.txt"
         batch.write_text("# two evaluations\n"
                          "iterated-log x=2.718281828459045 k=1\n"
-                         "janson-mu n=1000 d=10 r=1 epsilon=0.5 k=100\n")
+                         "janson-mu n=1000 d=10 r=1 k=100\n")
         code = main(["eval", "--batch", str(batch)])
         lines = capsys.readouterr().out.strip().splitlines()
         assert code == 0 and len(lines) == 2
@@ -396,6 +431,21 @@ class TestExperimentCommand:
             f"kind = delta-concentration\nn = {n}\nd = 2\nr = {r}\n")
         assert err.startswith("config error: delta-concentration cannot run "
                               f"at this config: log_({r + 1})({n}) = -0.")
+
+    # chi2-equality and chi-sandwich once built G^r under the default cap,
+    # whatever the config's edge_cap
+    @pytest.mark.parametrize("kind, d, r", [
+        ("chi2-equality", 3, 2), ("chi-sandwich", 3, 3),
+        ("clique-sandwich", 3, 2), ("dense-chi", 5, 2)])
+    def test_power_past_edge_cap_exit_1(self, tmp_path, capsys, kind, d, r):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"kind = {kind}\nn = 40\nd = {d}\nr = {r}\n"
+                       "edge_cap = 1\n")
+        out = tmp_path / "rec.jsonl"
+        assert main(["experiment", "run", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: explicit power exceeds edge cap 1\n"
 
     def test_bad_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -555,9 +605,48 @@ _FLOATS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1"]),
                     st.floats(-2, 50, allow_nan=False).map(repr))
 
 
+# eval values: extreme but parseable, and cheap to refuse.  No int lies
+# between 12 and 2^63: lemma2-exact scores about 2^(D-1) profiles at large
+# r, and once copied a D-element pool at r = 2.
+_EVAL_INTS = st.one_of(st.integers(-3, 12), st.just(10 ** 400),
+                       st.sampled_from([2 ** 63, 10 ** 20]))
+_RADII = st.one_of(st.integers(-1, 5), st.sampled_from([12, 200, 400]))
+_EVAL_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0"]),
+    st.floats(-2, 50, allow_nan=False).map(repr))
+
+
+def _eval_argv(draw):
+    """An ``eval`` of any formula; each key present with probability 7/8.
+
+    r, and iterated-log's k (its loop never leaves log(inf) = inf), stay
+    at most 400; a degree-pmf D at r = 0 stays small, since the pmf there
+    once built a D-entry list."""
+    formula = draw(st.sampled_from(sorted(cli._FORMULAS)))
+    argv = ["eval", formula]
+    values = {}
+    for key, cast in cli._FORMULAS[formula][0].items():
+        if cast is float:
+            values[key] = draw(_EVAL_FLOATS)
+        elif cast is not int:   # a layer profile
+            values[key] = ",".join(map(str, draw(st.lists(_EVAL_INTS,
+                                                          max_size=4))))
+        elif key == "r" or formula == "iterated-log":
+            values[key] = draw(_RADII)
+        elif formula == "degree-pmf" and values["r"] == 0:
+            values[key] = draw(st.integers(-3, 12))
+        else:
+            values[key] = draw(_EVAL_INTS)
+    return argv + [f"{key}={value}" for key, value in values.items()
+                   if draw(st.integers(0, 7))]
+
+
 @st.composite
 def flag_argvs(draw):
-    command = draw(st.sampled_from(["sample", "stats", "power", "color"]))
+    command = draw(st.sampled_from(["sample", "stats", "power", "color",
+                                    "eval"]))
+    if command == "eval":
+        return _eval_argv(draw)
     r = [f"--r={draw(st.integers(-3, 4))}"]
     if command == "sample":
         return ["sample", f"--n={draw(_INTS)}", "--out", "{dir}/s.txt",
@@ -576,7 +665,7 @@ def flag_argvs(draw):
                                  ("edge-cap", _INTS)])]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(flag_argvs())
 def test_numeric_flags_exit_0_to_3(argv):
     with tempfile.TemporaryDirectory() as tmp:

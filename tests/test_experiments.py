@@ -7,8 +7,8 @@ import pytest
 from scipy.stats import poisson
 
 from graphpower import (ConfigError, DomainError, ExperimentConfig, Graph,
-                        TrialRecord, d_star, derive_seed, emit,
-                        parse_config_file, read_records, run_experiment,
+                        GraphPowerError, TrialRecord, d_star, derive_seed,
+                        emit, parse_config_file, read_records, run_experiment,
                         verify_theorem)
 from graphpower import experiments
 from graphpower.experiments import (predicted_max_degree, run_single_trial,
@@ -240,6 +240,107 @@ class TestRunExperiment:
         h, rows = read_records(out)
         assert h == cfg.config_hash() == summary["config_hash"]
         assert len(rows) == len(records) == 3
+
+
+class TestWorkerCount:
+    """The pool starts every process it is given at once, so it is given no
+    more than there are trials or CPUs; a stand-in pool records its size."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class StandInPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StandInPool)
+        return sizes
+
+    @pytest.mark.parametrize("workers, trials, cpus, sizes", [
+        (5000, 1, 8, []),     # one trial runs serially
+        (5000, 3, 8, [3]),
+        (5000, 3, 2, [2]),
+        (3, 5, 8, [3]),
+        (4, 5, 1, []),
+        (4, 5, None, []),     # CPU count unknown: serial
+    ])
+    def test_pool_size(self, monkeypatch, pool_sizes, workers, trials, cpus,
+                       sizes):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = make_cfg(n=100, trials=trials, workers=workers)
+        _, records = run_experiment(cfg)
+        _, serial = run_experiment(make_cfg(n=100, trials=trials))
+        assert pool_sizes == sizes
+        assert ([(rec.trial, rec.values) for rec in records]
+                == [(rec.trial, rec.values) for rec in serial])
+
+
+# every hashed config field changes a small trial's record or the refusal of
+# its config: the field, a config, and the value it is changed to
+BINDING = {
+    "kind": (dict(kind="delta-concentration"), "degree-pmf"),
+    "n": (dict(kind="delta-concentration"), 301),
+    "d": (dict(kind="delta-concentration"), 2.5),
+    "r": (dict(kind="degree-pmf"), 3),
+    "seed": (dict(kind="delta-concentration"), 8),
+    "clique_budget": (dict(kind="clique-sandwich", n=60, d=3.0, r=3), 0),
+    "chi_budget": (dict(kind="chi2-equality"), 0),
+    "edge_cap": (dict(kind="chi-sandwich", r=3), 1),
+    "degree_cap": (dict(kind="degree-pmf"), 5),
+    "measure_z": (dict(kind="delta-concentration"), True),
+    "sample_mode": (dict(kind="delta-concentration", sample_mode="bernoulli"),
+                    "skip"),
+}
+# hashed fields no trial reads, with the reason each is hashed anyway
+HEADER_ONLY = {
+    "epsilon": "the paper's gap d <= n^(1/r - eps): it scopes the theorem, "
+               "and no measure reads it",
+    "trials": "the length of the campaign, not what one trial measures",
+}
+# one small config per kind, for the header-only check
+SMALL = {"delta-concentration": {}, "degree-pmf": {}, "chi2-equality": {},
+         "chi-sandwich": dict(r=3), "clique-sandwich": dict(n=60, d=3.0, r=3),
+         "dense-chi": dict(n=100, d=10.0)}
+
+
+def _trial_outcome(**config):
+    """Trial 0's (values, exact), or the (error type, message) refusing it."""
+    config = dict(dict(n=300, d=2.0, r=2, seed=7), **config)
+    try:
+        rec = run_single_trial(ExperimentConfig(**config), 0)
+    except GraphPowerError as exc:
+        return type(exc).__name__, str(exc)
+    return rec.values, rec.exact
+
+
+def test_every_hashed_field_is_bound_or_header_only():
+    assert set(BINDING).isdisjoint(HEADER_ONLY)
+    assert BINDING.keys() | HEADER_ONLY.keys() == set(experiments._HASH_FIELDS)
+
+
+@pytest.mark.parametrize("field", sorted(BINDING))
+def test_hashed_field_changes_a_trial(field):
+    config, value = BINDING[field]
+    assert (_trial_outcome(**config)
+            != _trial_outcome(**dict(config, **{field: value})))
+
+
+@pytest.mark.parametrize("field, value", [("epsilon", 0.03), ("trials", 5)])
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_header_only_field_changes_no_trial(kind, field, value):
+    assert field in HEADER_ONLY
+    config = dict(SMALL[kind], kind=kind)
+    assert _trial_outcome(**config) == _trial_outcome(**config, **{field: value})
 
 
 # one small campaign per kind and the sha256[:16] of its summary's

@@ -77,7 +77,7 @@ BATCH = ("# every formula once\n"
          "lemma2-exact D=40 r=3\n"
          "lemma2-lagrange D=1000 r=2\n"
          "janson-k0 n=1000 d=10 r=2\n"
-         "janson-mu n=1000 d=10 r=1 epsilon=0.5 k=100\n"
+         "janson-mu n=1000 d=10 r=1 k=100\n"
          "aks-bound delta=10000 t=100\n")
 
 

@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from graphpower import (BudgetExceededError, DegreeProfile, DomainError,
-                        TheoryParams, aks_chi_bound, d_star, degree_sum_pmf,
-                        iterated_log, janson_k0, janson_mu, layer_entropy,
-                        lemma2_min_exact, lemma2_min_lagrange, log_u, u_value)
+                        aks_chi_bound, d_star, degree_sum_pmf, iterated_log,
+                        janson_k0, janson_mu, layer_entropy, lemma2_min_exact,
+                        lemma2_min_lagrange, log_u, u_value)
 from graphpower.theory import degree_pmf
 
 from compositions import entropy_min_enumerated, feasible_compositions
@@ -163,9 +164,12 @@ class TestPmf:
         assert degree_pmf(2.0, 0, 2) == [1.0, 0.0, 0.0]
 
     def test_work_bound(self):
-        # r (top+1)^2 above DEFAULT_ENUM_WORK_CAP: refused before any work
+        # max(r, 1) (top+1)^2 above DEFAULT_ENUM_WORK_CAP: refused before any
+        # work; at r = 0 the charge once read 0, and a 10^9-entry list was built
         with pytest.raises(BudgetExceededError, match="work cap"):
             degree_pmf(2.0, 2, 10 ** 8)
+        with pytest.raises(BudgetExceededError, match="at r=0"):
+            degree_pmf(2.0, 0, 10 ** 7)
         with pytest.raises(BudgetExceededError):
             degree_sum_pmf(1.0, 5, 1000)
 
@@ -238,6 +242,13 @@ class TestLemma2Exact:
             assert val == layer_entropy(arg.ell)
             assert lemma2_min_lagrange(big_d, r).value <= val + 1e-9
 
+    def test_r2_huge_d_takes_the_empty_cut(self):
+        # r = 2 has one prefix, the empty one; range(1, D) was once copied
+        # to yield it, which overflowed at D = 10^20
+        val, arg = lemma2_min_exact(10 ** 20, 2)
+        assert arg.total == 10 ** 20 and arg.r == 2 and arg.feasible
+        assert val == layer_entropy(arg.ell)
+
     def test_work_cap_refuses_at_once(self):
         with pytest.raises(BudgetExceededError, match="work cap"):
             lemma2_min_exact(10 ** 6, 4)
@@ -297,45 +308,60 @@ class TestLemma2Lagrange:
 
 class TestJanson:
     def test_k0_example(self):
-        params = TheoryParams(n=10 ** 6, d=100.0, r=1)
-        assert janson_k0(params) == pytest.approx(460517.0, abs=0.1)
+        assert janson_k0(10 ** 6, 100.0, 1) == pytest.approx(460517.0, abs=0.1)
 
     def test_alpha_constant(self):
-        assert TheoryParams(n=10, d=2.0, r=2, epsilon=0.3).alpha == 20
+        # the constant 10 r! is 20 at r = 2
+        assert janson_k0(10, math.e, 2) == pytest.approx(20 * 10 / math.e ** 2)
 
     def test_k0_unit_log(self):
-        params = TheoryParams(n=1000, d=math.e, r=1, epsilon=0.5)
-        assert janson_k0(params) == pytest.approx(10 * 1000 / math.e)
+        assert janson_k0(1000, math.e, 1) == pytest.approx(10 * 1000 / math.e)
 
     def test_k0_domain(self):
         with pytest.raises(DomainError):
-            janson_k0(TheoryParams(n=10, d=1.0, r=1, epsilon=0.5))
+            janson_k0(10, 1.0, 1)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, math.e, 5.0, 10.0, 100.0])
+    def test_k0_log_space_matches_exact_form(self, d):
+        # the log-space value against 10 r! n log d / d^r in exact rationals
+        # (log d rounded once), and against that formula in floats
+        for n in (1, 1000, 10 ** 9):
+            for r in range(1, 31):
+                exact = (Fraction(10 * math.factorial(r) * n)
+                         * Fraction(math.log(d)) / Fraction(d) ** r)
+                floats = 10 * math.factorial(r) * n * math.log(d) / d ** r
+                got = janson_k0(n, d, r)
+                assert got == pytest.approx(float(exact), rel=1e-12)
+                assert got == pytest.approx(floats, rel=1e-12)
+
+    def test_k0_float_range(self):
+        # 10 * 200! once overflowed on its way to a value that fits a float
+        assert janson_k0(1000, 10.0, 200) == pytest.approx(1.8159518e179,
+                                                           rel=1e-7)
+        with pytest.raises(DomainError, match="overflows a float"):
+            janson_k0(1000, 10.0, 400)
 
     def test_mu_k2_r1(self):
-        params = TheoryParams(n=500, d=3.0, r=1, epsilon=0.5)
-        assert janson_mu(params, 2) == pytest.approx(params.p)
+        assert janson_mu(500, 3.0, 1, 2) == pytest.approx(3.0 / 500)
 
     def test_mu_small_k(self):
-        params = TheoryParams(n=500, d=3.0, r=1, epsilon=0.5)
-        assert janson_mu(params, 0) == 0.0
-        assert janson_mu(params, 1) == 0.0
+        assert janson_mu(500, 3.0, 1, 0) == 0.0
+        assert janson_mu(500, 3.0, 1, 1) == 0.0
 
     def test_mu_domain(self):
-        params = TheoryParams(n=500, d=3.0, r=1, epsilon=0.5)
         for k in (-1, -3, math.nan):
             with pytest.raises(DomainError, match="k must be"):
-                janson_mu(params, k)
+                janson_mu(500, 3.0, 1, k)
 
     def test_mu_example(self):
-        params = TheoryParams(n=1000, d=10.0, r=1, epsilon=0.5)
-        assert janson_mu(params, 100) == pytest.approx(49.5, rel=1e-9)
+        assert janson_mu(1000, 10.0, 1, 100) == pytest.approx(49.5, rel=1e-9)
 
     def test_mu_monotone(self):
-        base = janson_mu(TheoryParams(n=1000, d=10.0, r=2), 100)
-        assert janson_mu(TheoryParams(n=1000, d=10.0, r=2), 200) > base
-        assert janson_mu(TheoryParams(n=1000, d=20.0, r=2), 100) > base
+        base = janson_mu(1000, 10.0, 2, 100)
+        assert janson_mu(1000, 10.0, 2, 200) > base
+        assert janson_mu(1000, 20.0, 2, 100) > base
         # monotone in n at fixed edge probability p (d scales with n)
-        assert janson_mu(TheoryParams(n=2000, d=20.0, r=2), 100) > base
+        assert janson_mu(2000, 20.0, 2, 100) > base
 
 
 class TestAks:
@@ -366,17 +392,13 @@ class TestAks:
 
 
 class TestParamsValidation:
-    def test_epsilon_window(self):
-        with pytest.raises(DomainError):
-            TheoryParams(n=10, d=2.0, r=3, epsilon=0.5)  # needs eps < 1/3
-
     @pytest.mark.parametrize("n,d,r", [(0, 2.0, 2), (10, 0.0, 2),
                                        (10, math.nan, 2), (10, 2.0, 0)])
     def test_outside_domain(self, n, d, r):
-        with pytest.raises(DomainError):
-            TheoryParams(n=n, d=d, r=r)
+        for call in (lambda: janson_k0(n, d, r), lambda: janson_mu(n, d, r, 5)):
+            with pytest.raises(DomainError, match="require n >= 1"):
+                call()
 
     def test_derived_quantities(self):
-        params = TheoryParams(n=1000, d=4.0, r=2, epsilon=0.25)
-        assert params.p == pytest.approx(0.004)
-        assert params.nu0 == pytest.approx(4.0 ** 0.75)
+        # mu reads p = d/n: C(2,2) C(998, 1) p^2 with p = 0.004
+        assert janson_mu(1000, 4.0, 2, 2) == pytest.approx(998 * 0.004 ** 2)
