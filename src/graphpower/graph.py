@@ -207,7 +207,8 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
       from the stream in chunks of ``UNIFORM_CHUNK`` (the same doubles as
       one draw per row), compared with p as raw 64-bit words;
     - ``skip``: geometric gaps between successive edges over the linearized
-      pair index (the standard sparse sampler).
+      pair index (the standard sparse sampler), each index mapped to its
+      pair in closed form by :func:`_pair_ends`.
 
     ``auto`` picks ``bernoulli`` when n(n-1)/2 <= 2**21, else ``skip``.
     """
@@ -250,12 +251,40 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
             batch = 1024
         lin = np.concatenate(positions)
         lin = lin[lin < total]
-    # row offsets: row i spans lengths n-1-i
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=offsets[1:])
-    i = np.searchsorted(offsets, lin, side="right") - 1
-    j = i + 1 + (lin - offsets[i])
-    return Graph._from_half_edges(n, i, j)
+    return Graph._from_half_edges(n, *_pair_ends(n, lin))
+
+
+def _pair_offset(n, i):
+    """The linear index of pair (i, i + 1), the first of row i: rows 0..i-1
+    span n-1, n-2, ... pairs, i(n-1) - i(i-1)/2 in all, which stays inside
+    int64 for every row of every n with n^2 in int64."""
+    return i * (n - 1) - i * (i - 1) // 2
+
+
+def _pair_ends(n, lin):
+    """The pair (i, j), i < j, of each linear pair index ``lin``, as arrays
+    i and j: row i is the largest with offset(i) <= lin, for the offsets of
+    :func:`_pair_offset`, and j = i + 1 + lin - offset(i).
+
+    The closed-form inverse of the triangular offsets (Batagelj & Brandes,
+    Phys. Rev. E 71, 036113, 2005), i = floor((b - sqrt(b^2 - 8 lin)) / 2)
+    with b = 2n - 1, takes no n-entry offset array.  Its discriminant is
+    evaluated as 8 (n(n-1)/2 - lin) + 1, the same integer, so that it
+    carries no cancellation; exact int64 comparisons against the offsets
+    then move i by one row at a time until nothing moves.
+    """
+    total = n * (n - 1) // 2
+    b = 2.0 * n - 1.0
+    disc = 8.0 * (total - lin) + 1.0
+    i = np.clip(np.floor((b - np.sqrt(disc)) / 2), 0, n - 2).astype(np.int64)
+    while True:
+        lo = _pair_offset(n, i)
+        down = lo > lin
+        up = _pair_offset(n, i + 1) <= lin
+        if not (down.any() or up.any()):
+            return i, i + 1 + (lin - lo)
+        i += up
+        i -= down
 
 
 # -- powers and balls ------------------------------------------------------
@@ -263,14 +292,22 @@ def gnp_sample(n, p, src: RandomSource, mode="auto") -> Graph:
 
 def _gather_rows(indices, lo, cnt):
     """The adjacency rows that start at offsets ``lo`` of ``indices`` and
-    run ``cnt`` entries each, concatenated in order.
+    run ``cnt`` entries each, concatenated in order, and the run index: the
+    row i of each entry, ``np.repeat(np.arange(cnt.size), cnt)``.
 
-    Entry j of the run of row i, which starts at c_i = cnt[:i].sum(), reads
-    ``indices[lo[i] + j - c_i]``: one ``np.repeat`` of the row offsets, with
-    no Python loop.
+    The run index is the cumsum of a bincount of the run ends, and entry j
+    of the run of row i, which starts at c_i = cnt[:i].sum(), reads
+    ``indices[lo[i] + j - c_i]``: one gather of the row offsets through the
+    run index, with no Python loop.  A caller reads anything else it holds
+    per row, such as a key base, through the same run index.
     """
-    offsets = lo - (np.cumsum(cnt) - cnt)
-    return indices[np.arange(cnt.sum()) + np.repeat(offsets, cnt)]
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if ends.size else 0
+    # an empty run ends where the run before it does, and owns no entry
+    run = np.cumsum(np.bincount(ends, minlength=total + 1)[:total])
+    at = (lo - ends + cnt)[run]
+    at += np.arange(total)
+    return indices[at], run
 
 
 class _OverBudget(Exception):
@@ -285,8 +322,9 @@ def _root_blocks(g: Graph, grow):
     This is the package's one block driver.  ``roots`` holds the keys
     ``local_row * (n + 1) + start`` of the block's roots, and
     ``expand(keys)`` returns the keys ``local_row * n + w`` of every
-    neighbour w of each key ``local_row * n + x``, in order, with each
-    key's neighbour count.  Keys are int32 (``g.indices`` is cast once per
+    neighbour w of each key ``local_row * n + x``, in order, with the run
+    index of :func:`_gather_rows`: the position in ``keys`` of the key that
+    reached each one.  Keys are int32 (``g.indices`` is cast once per
     call) and a block holds at most ``POWER_INT32_KEYS // n`` roots, so a
     key tagged in its low bit stays below 2**31; only when one root cannot
     fit (n > ``POWER_INT32_KEYS``) are they int64, with no row cap.  A
@@ -325,9 +363,9 @@ def _root_blocks(g: Graph, grow):
         lo = indptr[v]
         cnt = indptr[1:][v] - lo
         charge(int(cnt.sum()))
-        reached = _gather_rows(indices, lo, cnt)
-        reached += np.repeat(keys - v, cnt)
-        return reached, cnt
+        reached, run = _gather_rows(indices, lo, cnt)
+        reached += (keys - v)[run]
+        return reached, run
 
     expand.charge = charge
 
@@ -358,18 +396,29 @@ def _power_blocks(g: Graph, r):
 
     The ball expansion behind every power, run on :func:`_root_blocks`, in
     the style of Gustavson's row-wise sparse product (ACM TOMS 4(3), 1978).
-    Each hop joins every neighbour of the newest layer.  On the hops before
+    Each hop joins every neighbour of the newest layer.  In a simple graph
+    hop 1's new layer is exactly N(v), with no loop and no repeated entry,
+    so hop 1 neither sorts nor deduplicates: the ball is the roots and
+    their rows (sorted only at r = 1, where it is returned), the frontier
+    the rows, and the sizes the degrees plus one.  On the later hops before
     the last, ball keys are tagged 0 and reached keys 1 in the low bit, so
     after one sort the first copy of each key tells whether it is new; the
-    last hop needs no new layer and only sorts and deduplicates.
+    last hop needs no new layer and only sorts and deduplicates.  A later
+    hop counts its ball sizes by a bincount of the keys' rows.
     """
     n = g.n
+    indptr = g.indptr
 
-    def grow(_, balls, expand):
-        bounds = np.arange(balls.size + 1, dtype=balls.dtype) * n
-        sizes = []
-        frontier = balls
-        for hop in range(1, r + 1):
+    def grow(start, balls, expand):
+        rows = balls.size
+        frontier, _ = expand(balls)
+        if not frontier.size:
+            return balls, []
+        balls = np.concatenate([balls, frontier])
+        if r == 1:
+            balls.sort()
+        sizes = [np.diff(indptr[start:start + rows + 1]) + 1]
+        for hop in range(2, r + 1):
             reached, _ = expand(frontier)
             if not reached.size:
                 break
@@ -386,7 +435,7 @@ def _power_blocks(g: Graph, r):
                 tagged = np.compress(first_copies(tagged >> 1), tagged)
                 balls = tagged >> 1
                 frontier = np.compress((tagged & 1).astype(bool), balls)
-            sizes.append(np.diff(np.searchsorted(balls, bounds)))
+            sizes.append(np.bincount(balls // n, minlength=rows))
         return balls, sizes
 
     return _root_blocks(g, grow)
@@ -566,7 +615,7 @@ def neighborhood_union(g: Graph, s, r):
         if not front.size:
             break
         lo = g.indptr[front]
-        reached = _gather_rows(g.indices, lo, g.indptr[front + 1] - lo)
+        reached, _ = _gather_rows(g.indices, lo, g.indptr[front + 1] - lo)
         reached = reached[~near[reached]]
         reached.sort()
         front = reached[first_copies(reached)]

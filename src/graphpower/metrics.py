@@ -193,7 +193,7 @@ def greedy_independent_set(g: Graph) -> list:
         row = indices[indptr[v]:indptr[v + 1]]
         kill = row[alive[row]]
         alive[kill] = False
-        reached = _gather_rows(indices, g.indptr[kill], width[kill])
+        reached, _ = _gather_rows(indices, g.indptr[kill], width[kill])
         reached = reached[alive[reached]]
         np.subtract.at(deg, reached, 1)
         reached.sort()
@@ -241,8 +241,8 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
         for k in range(1, (t + 1) // 2):
             if not front.size:
                 break
-            reached, cnt = expand(front)
-            parent_label = np.repeat(label, cnt)
+            reached, run = expand(front)
+            parent_label = label[run]
             at = np.minimum(np.searchsorted(front, reached), front.size - 1)
             level = front[at] == reached
             # an edge inside depth k across two branches: length 2k + 1

@@ -61,6 +61,8 @@ def iterated_log(x: float, k: int) -> float:
         raise DomainError(f"k must be >= 0, got {k}")
     if x != x:
         raise DomainError("iterated log undefined at NaN")
+    if x == math.inf:   # log(inf) = inf, so k loops would not move it
+        return x
     for _ in range(k):
         if x <= 0:
             raise DomainError(f"iterated log undefined: intermediate {x} <= 0")
@@ -196,18 +198,15 @@ def lemma2_min_exact(big_d, r):
     only x* - 2..x* + 2 are scored with ``layer_entropy``.  The result,
     value and argmin, is bit-identical to scoring every composition.  Each
     evaluation is one unit of work (a search is charged its longest run,
-    two per probe); past DEFAULT_ENUM_WORK_CAP units it raises
-    BudgetExceededError, before any evaluation when the profiles and
-    prefixes alone pass the cap.  r = 3 runs to about D = 10^5 and r = 4
-    to about D = 700.
+    two per probe, and a profile ending in zeros its length r); past
+    DEFAULT_ENUM_WORK_CAP units it raises BudgetExceededError, before any
+    profile is built when the profiles and prefixes alone pass the cap.
+    r = 3 runs to about D = 10^5 and r = 4 to about D = 700.
     """
     if big_d < 0:
         raise DomainError(f"D must be >= 0, got {big_d}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-    if big_d == 0 or r == 1:
-        ell = (big_d,) + (0,) * (r - 1)
-        return layer_entropy(ell), DegreeProfile(ell)
     best = (float("inf"), ())
     work = 0
 
@@ -219,11 +218,15 @@ def lemma2_min_exact(big_d, r):
                 f"layer-entropy minimum at D={big_d}, r={r} exceeds work cap "
                 f"{DEFAULT_ENUM_WORK_CAP}")
 
+    if big_d == 0 or r == 1:
+        charge(r)
+        ell = (big_d,) + (0,) * (r - 1)
+        return layer_entropy(ell), DegreeProfile(ell)
     # k positive parts: for k < r - 1 one profile ending in zeros, for
     # k = r - 1 a prefix of r - 2 parts and S > 0 left for (x, S - x)
     ks = range(1, min(r - 1, big_d) + 1)
-    for k in ks:   # one unit at least per profile or prefix: refuse early
-        charge(math.comb(big_d - 1, k - 1))
+    for k in ks:   # r units per profile, one at least per prefix: refuse early
+        charge(math.comb(big_d - 1, k - 1) * (r if k < r - 1 else 1))
     for k in ks:   # k = 1: the empty cut alone, without copying range(1, D)
         for cuts in combinations(range(1, big_d), k - 1) if k > 1 else [()]:
             parts = _parts(cuts, big_d)

@@ -73,12 +73,13 @@ def test_root_blocks_cover_every_root_once_in_order(g, lay, cap):
     """Blocks run over consecutive roots, no block of more than one root
     expands past the budget nor holds more than ``POWER_INT32_KEYS // n``
     roots, and ``expand`` returns each key's neighbours as keys of the
-    same row, int64 only when the bound leaves no room for one row."""
+    same row, int64 only when the bound leaves no room for one row, with
+    the position of the key that reached each one."""
     blocks = []
 
     def grow(start, roots, expand):
-        reached, cnt = expand(roots)
-        blocks.append((start, roots, reached, cnt))
+        reached, run = expand(roots)
+        blocks.append((start, roots, reached, run))
 
     with pytest.MonkeyPatch.context() as mp:
         layout(mp, g, *lay)
@@ -90,13 +91,14 @@ def test_root_blocks_cover_every_root_once_in_order(g, lay, cap):
     assert [start for start, *_ in blocks] == sorted(
         {start for start, *_ in blocks})
     assert sum(roots.size for _, roots, _, _ in blocks) == n
-    for start, roots, reached, cnt in blocks:
+    for start, roots, reached, run in blocks:
         dtype = np.int64 if lay[1] else np.int32
         assert roots.dtype == reached.dtype == dtype
         assert roots.tolist() == [i * (n + 1) + start for i in range(roots.size)]
         assert reached.tolist() == [i * n + w for i in range(roots.size)
                                     for w in g.neighbors(start + i).tolist()]
-        assert cnt.tolist() == g.degrees()[start:start + roots.size].tolist()
+        assert run.tolist() == [i for i in range(roots.size)
+                                for _ in g.neighbors(start + i).tolist()]
         assert roots.size == 1 or reached.size <= budget
         assert lay[1] or roots.size <= cap
 

@@ -293,6 +293,20 @@ class TestEval:
         assert captured.out == "" and len(lines) == 1
         assert lines[0].startswith("error: ")
 
+    # log(inf) = inf once took k steps to return: 10^399 of them here
+    def test_iterated_log_of_inf_at_a_400_digit_k(self, capsys):
+        code, rep = run(capsys, "eval", "iterated-log", "x=inf", f"k={10 ** 399}")
+        assert code == 0 and rep["value"] == math.inf
+
+    # r alone passes the work cap: refused before the 40 MB profile of
+    # zeros that a missing guard would build
+    def test_lemma2_exact_huge_r_refused_before_any_profile(self, capsys):
+        assert main(["eval", "lemma2-exact", "D=5", "r=5000001"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "work cap" in lines[0]
+
     @pytest.mark.parametrize("argv, value", [
         # refused at epsilon's old default, which capped r below 10
         (["n=1000", "d=5", "r=20"], 4.105809144522e8),
@@ -619,9 +633,10 @@ _EVAL_FLOATS = st.one_of(
 def _eval_argv(draw):
     """An ``eval`` of any formula; each key present with probability 7/8.
 
-    r, and iterated-log's k (its loop never leaves log(inf) = inf), stay
-    at most 400; a degree-pmf D at r = 0 stays small, since the pmf there
-    once built a D-entry list."""
+    r stays at most 400; a degree-pmf D at r = 0 stays small, since the pmf
+    there once built a D-entry list.  iterated-log's k is drawn like any
+    other int: each log takes at least 1 off a finite x, and log(inf) is
+    returned at once."""
     formula = draw(st.sampled_from(sorted(cli._FORMULAS)))
     argv = ["eval", formula]
     values = {}
@@ -631,7 +646,7 @@ def _eval_argv(draw):
         elif cast is not int:   # a layer profile
             values[key] = ",".join(map(str, draw(st.lists(_EVAL_INTS,
                                                           max_size=4))))
-        elif key == "r" or formula == "iterated-log":
+        elif key == "r":
             values[key] = draw(_RADII)
         elif formula == "degree-pmf" and values["r"] == 0:
             values[key] = draw(st.integers(-3, 12))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from graphpower import (Graph, MemoryBudgetError, RandomSource, ball,
                         gnp_sample, graph_power, induced_subgraph, is_forest,
                         neighborhood_union, power_degrees, read_dimacs,
                         read_edgelist, write_dimacs, write_edgelist)
+from graphpower import graph
 
 from walk_oracle import _truncated_bfs, connected_components
 
@@ -154,6 +157,54 @@ class TestSampling:
             g = gnp_sample(n, p, RandomSource(seed), mode="bernoulli")
             assert np.array_equal(g.indptr, want.indptr)
             assert np.array_equal(g.indices, want.indices)
+
+
+# the largest n that Graph.from_edges accepts: n^2 within int64
+LARGEST_N = math.isqrt(np.iinfo(np.int64).max)
+
+
+class TestPairRowMap:
+    """The skip sampler's closed-form map from a linear pair index to its
+    pair (i, j), checked where a float inverse is most likely to slip: on
+    both sides of a row's first pair, at the first, middle and last rows,
+    up to the largest n."""
+
+    @staticmethod
+    def offset(n, i):
+        """The first pair index of row i, in Python ints."""
+        return i * (n - 1) - i * (i - 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 3, 10 ** 4, 10 ** 6, 10 ** 8, LARGEST_N])
+    def test_row_ends(self, n):
+        assert LARGEST_N ** 2 <= np.iinfo(np.int64).max < (LARGEST_N + 1) ** 2
+        total = n * (n - 1) // 2
+        want = {}
+        for i in sorted({i for i in (0, 1, n // 2, n - 2) if i <= n - 2}):
+            first = self.offset(n, i)
+            assert first + n - 1 - i == self.offset(n, i + 1)
+            if i:   # the last pair of the row before
+                want[first - 1] = (i - 1, n - 1)
+            want[first] = (i, i + 1)
+            if first + 1 < total:   # row n - 2 holds one pair, the last
+                want[first + 1] = (i, i + 2)
+        lin = np.array(sorted(want), dtype=np.int64)
+        i, j = graph._pair_ends(n, lin)
+        assert i.dtype == j.dtype == np.int64
+        assert list(zip(i.tolist(), j.tolist())) == [want[x] for x in sorted(want)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3000), st.integers(0, 2 ** 32))
+    def test_equals_a_search_of_the_offsets(self, n, seed):
+        offsets = np.array([self.offset(n, i) for i in range(n - 1)])
+        lin = RandomSource(seed).generator.integers(0, n * (n - 1) // 2, 200)
+        i = np.searchsorted(offsets, lin, side="right") - 1
+        got_i, got_j = graph._pair_ends(n, lin)
+        assert np.array_equal(got_i, i)
+        assert np.array_equal(got_j, i + 1 + lin - offsets[i])
+
+    def test_empty(self):
+        i, j = graph._pair_ends(10, np.empty(0, dtype=np.int64))
+        assert i.size == j.size == 0
 
 
 class TestGraphPower:

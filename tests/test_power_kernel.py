@@ -142,3 +142,75 @@ def test_table_stops_where_the_balls_stop_growing():
     degrees, power = graph.power_table(g, 10 ** 6, graph.DEFAULT_EDGE_CAP)
     assert len(degrees) <= 11
     assert degrees[-1].tolist() == [9] * 10 and power.m == 45
+
+
+@pytest.mark.parametrize("make", [
+    lambda: graph.Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    lambda: gnp_sample(300, 2.0 / 300, RandomSource(5)),
+    lambda: gnp_sample(60, 0.5, RandomSource(5)),    # dense: bit rows
+], ids=["path-and-isolated", "sparse", "dense"])
+def test_r1_table_is_the_graph(make):
+    g = make()
+    degrees, power = graph.power_table(g, 1, graph.DEFAULT_EDGE_CAP)
+    assert degrees.tolist() == [[0] * g.n, g.degrees().tolist()]
+    assert np.array_equal(power.indptr, g.indptr)
+    assert np.array_equal(power.indices, g.indices)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_isolated_last_roots_keep_their_sizes(r):
+    """The block's last four roots reach nothing: a 5-cycle on the first
+    five of nine vertices.  Their balls hold their roots alone, so each
+    later hop's bincount still counts every row of the block, size 1."""
+    g = graph.Graph.from_edges(9, [(i, (i + 1) % 5) for i in range(5)])
+    (start, stop, (keys, sizes)), = graph._power_blocks(g, r)
+    assert (start, stop) == (0, 9)
+    assert global_rows([(start, stop, keys)], g.n) == global_rows(
+        int64_power_blocks(g, r), g.n)
+    want = {1: [3] * 5, 2: [5] * 5}
+    assert [s.tolist() for s in sizes] == [
+        want[min(k, 2)] + [1] * 4 for k in range(1, min(r, 3) + 1)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_block_without_a_neighbour_stops_at_once(r):
+    """No root has a neighbour: t = 0, the balls are the roots alone, and
+    the table holds the zero row only."""
+    g = graph.Graph.from_edges(6, [])
+    (start, stop, (keys, sizes)), = graph._power_blocks(g, r)
+    assert sizes == [] and keys.tolist() == [i * 6 + i for i in range(6)]
+    degrees, power = graph.power_table(g, r, graph.DEFAULT_EDGE_CAP)
+    assert degrees.tolist() == [[0] * 6] and power.m == 0
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("budget", [None, 3])
+def test_forced_int64_at_small_r(r, budget):
+    """At r = 1 hop 1 returns its sorted ball and at r = 2 hop 2 is the
+    last: both on the int64 keys a bound with no row room forces."""
+    g = gnp_sample(200, 3.0 / 200, RandomSource(9))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "POWER_INT32_KEYS", g.n - 1)
+        if budget is not None:
+            mp.setattr(graph, "POWER_KEY_BUDGET", budget)
+        got = kernel_blocks(g, r)
+        want = global_rows(int64_power_blocks(g, r), g.n)
+    assert all(keys.dtype == np.int64 for _, _, keys in got)
+    assert all(np.all(np.diff(keys) > 0) for _, _, keys in got)
+    assert global_rows(got, g.n) == want
+
+
+@pytest.mark.parametrize("cnt", [
+    [0, 0, 2, 1, 0, 3, 0, 0],   # empty runs at both ends and inside
+    [0, 0, 0],                  # no entry at all
+    [],
+    [4],
+])
+def test_run_index_is_the_repeat(cnt):
+    cnt = np.array(cnt, dtype=np.int64)
+    indices = np.arange(100, 140)
+    lo = np.arange(cnt.size) * 5
+    rows, run = graph._gather_rows(indices, lo, cnt)
+    assert run.tolist() == np.repeat(np.arange(cnt.size), cnt).tolist()
+    assert rows.tolist() == [100 + a + j for a, c in zip(lo.tolist(), cnt.tolist())
+                             for j in range(c)]

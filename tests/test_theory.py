@@ -8,7 +8,7 @@ from graphpower import (BudgetExceededError, DegreeProfile, DomainError,
                         aks_chi_bound, d_star, degree_sum_pmf, iterated_log,
                         janson_k0, janson_mu, layer_entropy, lemma2_min_exact,
                         lemma2_min_lagrange, log_u, u_value)
-from graphpower.theory import degree_pmf
+from graphpower.theory import DEFAULT_ENUM_WORK_CAP, degree_pmf
 
 from compositions import entropy_min_enumerated, feasible_compositions
 
@@ -55,6 +55,13 @@ class TestIteratedLog:
         for k in (0, 2):
             with pytest.raises(DomainError, match="NaN"):
                 iterated_log(math.nan, k)
+
+    def test_inf_at_once(self):
+        # log(inf) = inf: no k, however large, moves it
+        for k in (0, 1, 10 ** 400):
+            assert iterated_log(math.inf, k) == math.inf
+        with pytest.raises(DomainError, match="k must be >= 0"):
+            iterated_log(math.inf, -1)
 
 
 class TestDStar:
@@ -254,6 +261,22 @@ class TestLemma2Exact:
             lemma2_min_exact(10 ** 6, 4)
         with pytest.raises(BudgetExceededError, match="work cap"):
             lemma2_min_exact(40, 40)   # 2^39 profiles
+
+    @pytest.mark.parametrize("big_d,r", [
+        (0, DEFAULT_ENUM_WORK_CAP + 1),       # the D = 0 branch
+        (5, DEFAULT_ENUM_WORK_CAP + 1),
+        (2, DEFAULT_ENUM_WORK_CAP // 2 + 1),  # two zero-padded profiles
+    ])
+    def test_profiles_of_zeros_are_charged_their_length(self, big_d, r):
+        # each would build profiles of r entries, 40 MB at r = 5 * 10^6
+        with pytest.raises(BudgetExceededError, match="work cap"):
+            lemma2_min_exact(big_d, r)
+
+    def test_zero_padded_profiles_answered(self):
+        assert lemma2_min_exact(0, 10)[1].ell == (0,) * 10
+        val, arg = lemma2_min_exact(2, 1000)
+        assert arg.ell[:2] in ((1, 1), (2, 0)) and arg.total == 2
+        assert val == layer_entropy(arg.ell)
 
     @pytest.mark.parametrize("big_d,r", [(-1, 2), (4, 0)])
     def test_invalid(self, big_d, r):
