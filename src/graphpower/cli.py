@@ -236,7 +236,7 @@ def _cmd_color(args):
     g = _read_graph(args.infile)
     degrees, gp = power_table(g, args.r, args.edge_cap)
     if args.method == "greedy":
-        c = col.greedy_coloring_explicit(gp, radius=args.r)
+        c = col.greedy_coloring_explicit(gp)
     elif args.method == "two-phase":
         try:
             c = col.two_phase_power_coloring(g, args.r, degrees, gp)
@@ -245,8 +245,8 @@ def _cmd_color(args):
                               "cycle": exc.cycle}), file=sys.stderr)
             return 1
     else:
-        chi, c = col.dsatur_chromatic_exact(gp, node_budget=args.chi_budget)
-        c = col.Coloring(c.colors, c.palette_size, args.r)
+        c = col.dsatur_chromatic_exact(gp, node_budget=args.chi_budget)
+    c.radius = args.r
     proper, witness = col.verify_proper_power_coloring(gp, c)
     if args.out:
         col.write_coloring(c, args.out)

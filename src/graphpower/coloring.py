@@ -13,7 +13,7 @@ reproducible and witnesses stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,19 +34,16 @@ SHORT_ROW = 64
 
 @dataclass
 class Coloring:
-    """Vertex -> color assignment plus the power radius it was checked against."""
+    """Vertex -> color assignment and the power radius; the palette is derived."""
 
     colors: list
-    palette_size: int
-    radius: int
+    radius: int = 1
+    palette_size: int = field(init=False)
 
     def __post_init__(self):
         if self.colors and min(self.colors) < 0:
             raise ValueError(f"negative color {min(self.colors)}")
-        used = max(self.colors) + 1 if self.colors else 0
-        if self.palette_size != used:
-            raise ValueError(f"palette size {self.palette_size} does not match "
-                             f"the {used} colors used")
+        self.palette_size = max(self.colors) + 1 if self.colors else 0
 
 
 def _mex(used):
@@ -101,12 +98,12 @@ def _greedy_fill(gp: Graph, order, colors):
 def greedy_power_coloring(g: Graph, r, order=None) -> Coloring:
     """Greedy coloring of G^r in the given vertex order (default 0..n-1):
     :func:`greedy_coloring_explicit` on the explicit power."""
-    return greedy_coloring_explicit(graph_power(g, r), order, r)
+    return Coloring(greedy_coloring_explicit(graph_power(g, r), order).colors, r)
 
 
-def greedy_coloring_explicit(gp: Graph, order=None, radius=1) -> Coloring:
+def greedy_coloring_explicit(gp: Graph, order=None) -> Coloring:
     """Greedy coloring of an explicit graph (e.g. a materialized power) in
-    the given vertex order (default 0..n-1).
+    the given vertex order (default 0..n-1), at radius 1.
 
     Each vertex gets the smallest color absent from its already-colored
     neighbours.  Runs on the CSR arrays, or on the packed bit rows of a
@@ -119,7 +116,7 @@ def greedy_coloring_explicit(gp: Graph, order=None, radius=1) -> Coloring:
         raise ValueError("order must be a permutation of all vertices")
     colors = np.full(n, -1, dtype=np.int64)
     _greedy_fill(gp, order, colors)
-    return Coloring(colors.tolist(), int(colors.max()) + 1 if n else 0, radius)
+    return Coloring(colors.tolist())
 
 
 def dsatur_greedy(gp: Graph) -> Coloring:
@@ -138,37 +135,32 @@ def dsatur_greedy(gp: Graph) -> Coloring:
         uncolored.discard(v)
         for w in adj[v]:
             neighbor_colors[w].add(c)
-    return Coloring(colors, max(colors) + 1 if n else 0, 1)
+    return Coloring(colors)
 
 
-def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET):
-    """Exact chromatic number of an explicit graph with a witness coloring.
+def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET) -> Coloring:
+    """A coloring of an explicit graph whose palette is its chromatic number.
 
-    DSATUR branch-and-bound seeded by the exact clique lower bound and the
-    DSATUR-greedy upper bound.  Intended for small instances (n <= ~80).
-    Raises BudgetExceededError with the best bounds attached.
+    DSATUR branch-and-bound seeded by the exact clique lower bound, where it
+    stops, and the DSATUR-greedy upper bound.  Intended for small instances
+    (n <= ~80).  Raises BudgetExceededError with the best bounds attached.
     """
     n = gp.n
-    if n == 0:
-        return 0, Coloring([], 0, 1)
     ub_col = dsatur_greedy(gp)
     best = ub_col.palette_size
-    best_colors = list(ub_col.colors)
+    best_colors = ub_col.colors
     try:
         lb = max_clique_exact(gp, node_budget=min(node_budget, 1_000_000))
     except BudgetExceededError as exc:
         lb = exc.lower or 1
     if lb >= best:
-        return best, Coloring(best_colors, best, 1)
+        return ub_col
 
     adj = gp.adjacency_lists()
     degrees = [len(a) for a in adj]
     colors = [-1] * n
     neighbor_masks = [0] * n
     nodes = 0
-
-    class _Done(Exception):
-        pass
 
     def enter(num_colored, used):
         """Count a search node; return its frame [v, next color, color
@@ -183,8 +175,6 @@ def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET):
         if num_colored == n:
             best = used
             best_colors = colors.copy()
-            if best <= lb:
-                raise _Done
             return None
         v = -1
         v_key = None
@@ -198,36 +188,33 @@ def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET):
 
     # depth-first over an explicit stack, one frame per colored vertex, so
     # the search depth (up to n) does not depend on Python's recursion limit
-    try:
-        stack = [enter(0, 0)]
-        while stack:
-            frame = stack[-1]
-            v, c, limit, used, touched = frame
-            if touched is not None:  # undo the color tried last
-                colors[v] = -1
-                bit = ~(1 << (c - 1))
-                for w in touched:
-                    neighbor_masks[w] &= bit
-            mask = neighbor_masks[v]
-            while c < limit and (mask >> c) & 1:
-                c += 1
-            if c >= limit:
-                stack.pop()
-                continue
-            colors[v] = c
-            bit = 1 << c
-            touched = [w for w in adj[v]
-                       if colors[w] < 0 and not (neighbor_masks[w] & bit)]
+    stack = [enter(0, 0)]
+    while stack and best > lb:
+        frame = stack[-1]
+        v, c, limit, used, touched = frame
+        if touched is not None:  # undo the color tried last
+            colors[v] = -1
+            bit = ~(1 << (c - 1))
             for w in touched:
-                neighbor_masks[w] |= bit
-            frame[1] = c + 1
-            frame[4] = touched
-            child = enter(len(stack), max(used, c + 1))
-            if child is not None:
-                stack.append(child)
-    except _Done:
-        pass
-    return best, Coloring(best_colors, best, 1)
+                neighbor_masks[w] &= bit
+        mask = neighbor_masks[v]
+        while c < limit and (mask >> c) & 1:
+            c += 1
+        if c >= limit:
+            stack.pop()
+            continue
+        colors[v] = c
+        bit = 1 << c
+        touched = [w for w in adj[v]
+                   if colors[w] < 0 and not (neighbor_masks[w] & bit)]
+        for w in touched:
+            neighbor_masks[w] |= bit
+        frame[1] = c + 1
+        frame[4] = touched
+        child = enter(len(stack), max(used, c + 1))
+        if child is not None:
+            stack.append(child)
+    return Coloring(best_colors)
 
 
 def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
@@ -252,7 +239,7 @@ def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
     if s_set:
         # closure is sorted, so h's vertex x is closure[x]
         closure = neighborhood_union(g, s_set, r)
-        h, _ = induced_subgraph(g, closure)
+        h = induced_subgraph(g, closure)
         forest, walk = is_forest(h)
         if not forest:
             raise ForestViolationError([closure[x] for x in walk])
@@ -264,12 +251,12 @@ def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
     # phase 2: all remaining vertices, increasing index order
     _greedy_fill(gp, np.flatnonzero(colors < 0).tolist(), colors)
 
-    palette = int(colors.max()) + 1 if n else 0
-    if palette > delta_prev + 1:
+    c = Coloring(colors.tolist(), r)
+    if c.palette_size > delta_prev + 1:
         raise GraphPowerError(
-            f"{palette} colors exceed the bound {delta_prev + 1} despite the "
-            "forest condition")
-    return Coloring(colors.tolist(), palette, r)
+            f"{c.palette_size} colors exceed the bound {delta_prev + 1} despite "
+            "the forest condition")
+    return c
 
 
 def verify_proper_power_coloring(gp: Graph, coloring: Coloring):
@@ -322,5 +309,8 @@ def read_coloring(path) -> Coloring:
                    None)
     if missing is not None:
         raise ValueError(f"vertex ids not contiguous: no color for vertex {missing}")
-    colors = [assignments[v] for v in range(len(assignments))]
-    return Coloring(colors, palette, radius)
+    coloring = Coloring([assignments[v] for v in range(len(assignments))], radius)
+    if coloring.palette_size != palette:
+        raise ValueError(f"palette size {palette} does not match the "
+                         f"{coloring.palette_size} colors used")
+    return coloring

@@ -189,7 +189,7 @@ def _color_power(cfg, g):
     try:
         c, ok = col.two_phase_power_coloring(g, cfg.r, degrees, gp), True
     except ForestViolationError:
-        c, ok = col.greedy_coloring_explicit(gp, radius=cfg.r), False
+        c, ok = col.greedy_coloring_explicit(gp), False
     proper, _ = col.verify_proper_power_coloring(gp, c)
     return degrees, c, ok, proper
 
@@ -199,10 +199,10 @@ def _measure_chi2(cfg, g):
     top = metrics.power_max_degree(degrees, 1)
     # lower-bound certificate: exact chromatic number of the square of the
     # subgraph induced by the radius-2 ball around a max-degree vertex
-    sub, _ = induced_subgraph(g, ball(g, top.argmax, 2))
+    sub = induced_subgraph(g, ball(g, top.argmax, 2))
     sq = graph_power(sub, 2, edge_cap=cfg.edge_cap)
     try:
-        cert, _ = col.dsatur_chromatic_exact(sq, node_budget=cfg.chi_budget)
+        cert = col.dsatur_chromatic_exact(sq, node_budget=cfg.chi_budget).palette_size
         cert_exact = True
     except BudgetExceededError as exc:
         cert, cert_exact = exc.lower or 0, False
@@ -242,7 +242,7 @@ def _measure_clique_sandwich(cfg, g):
 
 def _measure_dense_chi(cfg, g):
     gp = graph_power(g, cfg.r, edge_cap=cfg.edge_cap)
-    palette = col.greedy_coloring_explicit(gp, radius=cfg.r).palette_size
+    palette = col.greedy_coloring_explicit(gp).palette_size
     alpha = len(metrics.greedy_independent_set(gp))
     theta = cfg.d ** cfg.r / math.log(cfg.d)
     values = {"palette": palette, "alpha_greedy": alpha, "theta": theta,

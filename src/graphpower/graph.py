@@ -624,17 +624,16 @@ def neighborhood_union(g: Graph, s, r):
 
 
 def induced_subgraph(g: Graph, s):
-    """Graph induced on vertex set s, plus the old->new index map.
-
-    New indices follow the sorted order of s.  The edges of g are relabelled
-    through one index array (-1 outside s) and kept where both ends are in s.
+    """Graph induced on vertex set s: the new index of a vertex is its rank
+    in sorted(s).  The edges of g are relabelled through one index array
+    (-1 outside s) and kept where both ends are in s.
     """
     s = sorted(set(s))
     label = np.full(g.n, -1, dtype=np.int64)
     label[s] = np.arange(len(s))
     edges = label[g.edge_array()]
     edges = edges[(edges >= 0).all(axis=1)]
-    return Graph.from_edges(len(s), edges), {v: i for i, v in enumerate(s)}
+    return Graph.from_edges(len(s), edges)
 
 
 def is_forest(g: Graph):

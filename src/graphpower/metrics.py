@@ -28,7 +28,6 @@ DEFAULT_CYCLE_LENGTH_CAP = 16
 class PowerDegreeSummary:
     """Max degree of G^r with its argmax vertex."""
 
-    r: int
     delta: int
     argmax: int
 
@@ -44,9 +43,9 @@ def power_max_degree(degrees, r) -> PowerDegreeSummary:
     """Max degree of G^r with its argmax, read from a degree table."""
     row = degrees[min(r, len(degrees) - 1)]
     if not row.size:
-        return PowerDegreeSummary(r, 0, -1)
+        return PowerDegreeSummary(0, -1)
     argmax = int(row.argmax())  # smallest index wins ties
-    return PowerDegreeSummary(r, int(row[argmax]), argmax)
+    return PowerDegreeSummary(int(row[argmax]), argmax)
 
 
 def high_degree_set(degrees, r, threshold) -> list:

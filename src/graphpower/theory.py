@@ -181,10 +181,14 @@ def _parts(cuts, total):
     return tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
-def _tail_cost(x, s, m):
-    """Layer entropy x log(x/m) + (s-x) log((s-x)/x) of the last two layers
-    (x, s - x) after a layer of size m, for 1 <= x <= s."""
-    return x * math.log(x / m) + ((s - x) * math.log((s - x) / x) if x < s else 0.0)
+def _tail_step(x, s, m):
+    """f(x + 1) - f(x), 1 <= x < s, for the entropy f(x) = x log(x/m) +
+    (s-x) log((s-x)/x) of the last two layers after one of size m, summed
+    from terms that do not cancel; f is of size s log s, and the difference
+    of two of its values loses every bit once s passes about 10^15."""
+    last = (s - x - 1) * math.log1p(-1 / (s - x)) if x + 1 < s else 0.0
+    return ((2 * x - s) * math.log1p(1 / x) + last + 2 * math.log(x + 1)
+            - math.log(s - x) - math.log(m))
 
 
 def lemma2_min_exact(big_d, r):
@@ -238,7 +242,7 @@ def lemma2_min_exact(big_d, r):
                 lo, hi = 1, s
                 while lo < hi:   # smallest x with f(x + 1) >= f(x), or s
                     mid = (lo + hi) // 2
-                    if _tail_cost(mid + 1, s, m) >= _tail_cost(mid, s, m):
+                    if _tail_step(mid, s, m) >= 0:
                         hi = mid
                     else:
                         lo = mid + 1
@@ -392,4 +396,8 @@ def aks_chi_bound(delta, t, c=1.0) -> float:
         raise DomainError("require 2 <= t <= delta < inf")
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"c must be finite and > 0, got {c}")
-    return c * delta / math.log(t)
+    bound = c * delta / math.log(t)
+    if bound == math.inf:
+        raise DomainError(
+            f"aks bound {c:.6g} * {delta:.6g} / log {t:.6g} overflows a float")
+    return bound

@@ -192,7 +192,7 @@ def test_ac5_deterministic_sandwich(capsys):
         degrees = power_table(g, r, None)[0]
         lb = clique_lower_bound(degrees, r)
         omega = max_clique_exact(gp)
-        chi, _ = dsatur_chromatic_exact(gp)
+        chi = dsatur_chromatic_exact(gp).palette_size
         greedy = greedy_coloring_explicit(gp).palette_size
         delta = power_max_degree(degrees, r).delta
         if not lb <= omega <= chi <= greedy <= delta + 1:

@@ -132,7 +132,7 @@ def test_verifier_equals_the_bfs_walk(data, g, r, lay):
     pair itself is compared; a greedy coloring of G^r must pass."""
     colors = data.draw(st.lists(st.integers(0, data.draw(st.integers(0, 2))),
                                 min_size=g.n, max_size=g.n))
-    coloring = Coloring(colors, max(colors, default=-1) + 1, r)
+    coloring = Coloring(colors, r)
     greedy = greedy_power_coloring(g, r)
     with pytest.MonkeyPatch.context() as mp:
         layout(mp, g, *lay)

@@ -228,7 +228,7 @@ def test_power_degrees_are_python_ints(r):
 @given(st.data(), graphs(), st.integers(1, 4))
 def test_first_violating_pair(data, g, r):
     colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
-    coloring = Coloring(colors, max(colors) + 1, r)
+    coloring = Coloring(colors, r)
     # the lexicographically first violating pair
     expected = next(((v, w) for v in range(g.n)
                      for w in sorted(distances(g, v, r))

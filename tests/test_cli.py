@@ -277,15 +277,17 @@ class TestEval:
         assert captured.err == "error: k must be >= 0, got -3\n"
         assert captured.out == ""
 
-    # each once ended in an OverflowError traceback
+    # each once ended in an OverflowError traceback, but aks-bound, which
+    # printed a value of Infinity and exited 0
     @pytest.mark.parametrize("argv", [
         ["janson-mu", "n=1000", "d=10", "r=2", f"k={10 ** 400}"],
         ["u-value", f"ell={10 ** 400}", "d=2"],
         ["log-u", f"ell=2,{10 ** 400}", "d=2"],
         ["lemma2-exact", "D=5", f"r={10 ** 20}"],
         ["janson-k0", "n=1000", "d=10", "r=400"],
+        ["aks-bound", "delta=1e308", "t=2", "c=1e308"],
     ], ids=["mu-huge-k", "u-huge-layer", "log-u-huge-layer", "lemma2-huge-r",
-            "k0-past-float-range"])
+            "k0-past-float-range", "aks-past-float-range"])
     def test_overflow_exit_1(self, capsys, argv):
         assert main(["eval", *argv]) == 1
         captured = capsys.readouterr()

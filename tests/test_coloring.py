@@ -69,8 +69,9 @@ class TestGreedy:
         g = gnp_sample(40, 0.07, RandomSource(6))
         for r in (2, 3):
             a = greedy_power_coloring(g, r)
-            b = greedy_coloring_explicit(graph_power(g, r), radius=r)
+            b = greedy_coloring_explicit(graph_power(g, r))
             assert a.colors == b.colors
+            assert (a.radius, b.radius) == (r, 1)
 
 
 class TestDsatur:
@@ -79,30 +80,30 @@ class TestDsatur:
         assert c.palette_size == 3
 
     def test_exact_c5(self):
-        assert dsatur_chromatic_exact(cycle_graph(5))[0] == 3
+        assert dsatur_chromatic_exact(cycle_graph(5)).palette_size == 3
 
     def test_exact_c9_square(self):
-        assert dsatur_chromatic_exact(graph_power(cycle_graph(9), 2))[0] == 3
+        assert dsatur_chromatic_exact(graph_power(cycle_graph(9), 2)).palette_size == 3
 
     def test_exact_k4(self):
-        assert dsatur_chromatic_exact(complete_graph(4))[0] == 4
+        assert dsatur_chromatic_exact(complete_graph(4)).palette_size == 4
 
     def test_exact_bipartite(self):
-        assert dsatur_chromatic_exact(star_graph(5))[0] == 2
+        assert dsatur_chromatic_exact(star_graph(5)).palette_size == 2
 
     def test_exact_edgeless(self):
         from graphpower import Graph
-        assert dsatur_chromatic_exact(Graph.from_edges(4, []))[0] == 1
+        assert dsatur_chromatic_exact(Graph.from_edges(4, [])).palette_size == 1
 
     def test_exact_long_odd_cycle(self):
         # the search goes 1501 frames deep before it refutes 2 colors
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            chi, col = dsatur_chromatic_exact(cycle_graph(1501))
+            col = dsatur_chromatic_exact(cycle_graph(1501))
         finally:
             sys.setrecursionlimit(limit)
-        assert chi == 3 and col.palette_size == 3
+        assert col.palette_size == 3
         assert verify(cycle_graph(1501), 1, col) == (
             True, None)
 
@@ -114,9 +115,9 @@ class TestDsatur:
     def test_exact_between_clique_and_greedy(self):
         for seed in range(5):
             gp = graph_power(gnp_sample(25, 0.1, RandomSource(seed)), 2)
-            chi, col = dsatur_chromatic_exact(gp)
-            assert max_clique_exact(gp) <= chi <= dsatur_greedy(gp).palette_size
-            assert col.palette_size == chi
+            col = dsatur_chromatic_exact(gp)
+            assert (max_clique_exact(gp) <= col.palette_size
+                    <= dsatur_greedy(gp).palette_size)
             assert verify(gp, 1, col) == (True, None)
 
 
@@ -152,7 +153,7 @@ class TestTwoPhase:
         # an understated Delta(G^{r-1}) puts every vertex of P5 in S and
         # leaves room for one color where three are needed
         monkeypatch.setattr(coloring, "power_max_degree",
-                            lambda g, r: PowerDegreeSummary(r, 0, 0))
+                            lambda g, r: PowerDegreeSummary(0, 0))
         with pytest.raises(GraphPowerError, match="bound 1") as exc:
             two_phase(path_graph(5), 2)
         assert not isinstance(exc.value, ForestViolationError)
@@ -174,17 +175,17 @@ class TestTwoPhase:
 class TestVerifier:
     def test_p5_example_true(self):
         ok, _ = verify(
-            path_graph(5), 2, Coloring([0, 1, 2, 0, 1], 3, 2))
+            path_graph(5), 2, Coloring([0, 1, 2, 0, 1], 2))
         assert ok
 
     def test_p5_example_false(self):
         ok, pair = verify(
-            path_graph(5), 2, Coloring([0, 1, 0, 1, 0], 2, 2))
+            path_graph(5), 2, Coloring([0, 1, 0, 1, 0], 2))
         assert not ok and pair == (0, 2)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            verify(path_graph(5), 2, Coloring([0], 1, 2))
+            verify(path_graph(5), 2, Coloring([0], 2))
 
 
 class TestColoringIO:
@@ -209,11 +210,17 @@ class TestColoringIO:
         with pytest.raises(ValueError, match="negative color -1"):
             read_coloring(p)
 
-    def test_palette_mismatch_is_value_error(self):
-        with pytest.raises(ValueError, match="palette size 5"):
-            Coloring([0, 1], 5, 1)
+    def test_palette_mismatch_is_value_error(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("s 5 1\nc 0 0\nc 1 1\n")
+        with pytest.raises(ValueError, match="palette size 5 does not match the 2"):
+            read_coloring(p)
+
+    def test_palette_is_derived(self):
+        assert Coloring([0, 2, 1, 2]).palette_size == 3
+        assert Coloring([]).palette_size == 0
 
     def test_header_format(self, tmp_path):
         p = tmp_path / "c.txt"
-        write_coloring(Coloring([0, 1], 2, 1), p)
+        write_coloring(Coloring([0, 1]), p)
         assert p.read_text() == "s 2 1\nc 0 0\nc 1 1\n"

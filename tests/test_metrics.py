@@ -257,7 +257,7 @@ class TestSandwich:
                 gp = graph_power(g, r)
                 lb = clique_lower_bound(table(g, r), r)
                 omega = max_clique_exact(gp)
-                chi, _ = dsatur_chromatic_exact(gp)
+                chi = dsatur_chromatic_exact(gp).palette_size
                 greedy = greedy_coloring_explicit(gp).palette_size
                 delta = power_max_degree(table(g, r), r).delta
                 assert lb <= omega <= chi <= greedy <= delta + 1

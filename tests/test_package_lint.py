@@ -17,7 +17,9 @@ block of ball expansions are read by the one block driver alone, so a
 second block loop fails here.  No code branches on an experiment kind by
 name, since each kind is one row of the experiments table.  Every
 function the benchmark's tracer wraps still exists, so a renamed one
-fails here rather than in a traced benchmark run.
+fails here rather than in a traced benchmark run.  The package loads its
+exports lazily, so every name in ``__all__`` is read here: a renamed or
+deleted one would otherwise fail only where it is first used.
 """
 
 import ast
@@ -225,6 +227,12 @@ def test_tracer_sites_resolve_on_the_package():
                if not hasattr(getattr(graphpower, site.split(".")[0]),
                               site.split(".")[1])]
     assert not missing, f"tracer sites missing from the package: {missing}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in graphpower.__all__
+               if not hasattr(graphpower, name)]
+    assert not missing, f"exports missing from the package: {missing}"
 
 
 def is_strings(node):

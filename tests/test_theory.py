@@ -256,6 +256,14 @@ class TestLemma2Exact:
         assert arg.total == 10 ** 20 and arg.r == 2 and arg.feasible
         assert val == layer_entropy(arg.ell)
 
+    # the forward difference of the tail cost once lost every bit past
+    # D of about 10^15: the value over the continuous minimum read 1.006
+    # at 10^16 and 1.30 at 10^18
+    @pytest.mark.parametrize("big_d", [10 ** e for e in (12, 14, 16, 18, 20)])
+    def test_r2_large_d_meets_the_continuous_minimum(self, big_d):
+        val, _ = lemma2_min_exact(big_d, 2)
+        assert abs(val / lemma2_min_lagrange(big_d, 2).value - 1) <= 1e-12
+
     def test_work_cap_refuses_at_once(self):
         with pytest.raises(BudgetExceededError, match="work cap"):
             lemma2_min_exact(10 ** 6, 4)
@@ -412,6 +420,11 @@ class TestAks:
         for c in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(DomainError, match="c must be"):
                 aks_chi_bound(100, 10, c=c)
+
+    def test_float_range(self):
+        # each input is finite, the bound is not; it once came back as inf
+        with pytest.raises(DomainError, match="overflows a float"):
+            aks_chi_bound(1e308, 2, c=1e308)
 
 
 class TestParamsValidation:

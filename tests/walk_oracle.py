@@ -174,7 +174,7 @@ def bfs_two_phase_power_coloring(g, r):
         reached = {w for layer in next(_truncated_bfs(g, r, [s_set]))
                    for w in layer}
         closure = sorted(reached | set(s_set))
-        h, _ = induced_subgraph(g, closure)
+        h = induced_subgraph(g, closure)
         forest, cycle = is_forest(h)
         if not forest:
             raise ForestViolationError([closure[x] for x in cycle])
