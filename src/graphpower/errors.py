@@ -37,7 +37,7 @@ class ForestViolationError(GraphPowerError):
 
 
 class NoConvergenceError(GraphPowerError):
-    """An iterative solver hit its iteration cap; carries the final bracket."""
+    """A solver's answer misses its tolerance; carries the final bracket."""
 
     def __init__(self, message, bracket=None):
         super().__init__(message)

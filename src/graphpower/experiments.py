@@ -313,7 +313,8 @@ _KIND_TABLE = {
              exact_rate=_rate("omega", "exact"))),
     "dense-chi": Kind(
         _measure_dense_chi,
-        lambda cfg: require(cfg.d > math.log(cfg.n), "dense-chi requires d > log n"),
+        lambda cfg: require(cfg.d > max(1, math.log(cfg.n)),
+                            "dense-chi requires d > max(1, log n)"),
         dict(ratio_chi=_each("ratio_chi"), ratio_alpha=_each("ratio_alpha"),
              ordering_rate=_rate("ordering_ok"))),
     "degree-pmf": Kind(

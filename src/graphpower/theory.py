@@ -12,7 +12,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import BudgetExceededError, DomainError, NoConvergenceError
 
@@ -115,8 +115,7 @@ def log_u(ell, d) -> float:
 
 def u_value(ell, d) -> float:
     """Layer-profile weight on probability scale (0 for infeasible)."""
-    lv = log_u(ell, d)
-    return 0.0 if lv == float("-inf") else math.exp(lv)
+    return math.exp(log_u(ell, d))
 
 
 def degree_pmf(d, r, top) -> list:
@@ -270,72 +269,66 @@ class LagrangeSolution:
 
 
 def _lagrange_profile(p_r, r):
-    """Layer ratios and sizes induced by the last ratio p_r (None on overflow)."""
-    ratios = [0.0] * r
-    ratios[r - 1] = p_r
+    """Layer ratios and sizes induced by the last ratio p_r; a ratio or a
+    layer past the float range is inf."""
+    ratios = [p_r] * r
+    q = p_r
     for i in range(r - 2, -1, -1):
-        if ratios[i + 1] > 700:
-            return None, None
-        ratios[i] = p_r * math.exp(ratios[i + 1])
-        if ratios[i] > 1e300:
-            return None, None
-    ell = []
-    prod = 1.0
-    for q in ratios:
-        prod *= q
-        if prod > 1e300:
-            return None, None
-        ell.append(prod)
-    return ratios, ell
+        try:
+            q = p_r * math.exp(q)
+        except OverflowError:
+            q = math.inf
+        ratios[i] = q
+    return ratios, list(accumulate(ratios, operator.mul))
 
 
 def lemma2_min_lagrange(big_d, r) -> LagrangeSolution:
     """Continuous layer-entropy minimum via bisection on the last ratio.
 
-    The constraint sum(l_i) = D is monotone in p_r, so a bracket always
-    exists for D > 0.  Bisection stops once |sum(l_i) - D| <= 1e-10;
-    raises NoConvergenceError (with the bracket) if 1000 iterations pass
-    first.
+    The layer sum increases with p_r and is at least l_1 = p_1 >= p_r, so
+    its root lies in (0, D]: the bracket's top doubles from min(1, D) but
+    never past D, bisection runs until the bracket's ends are adjacent
+    floats, and the answer is read at the top.  Each layer sum is charged r
+    units of work, before it is built; past DEFAULT_ENUM_WORK_CAP units it
+    raises BudgetExceededError.  Raises NoConvergenceError (with the
+    bracket) when float64 cannot place the sum within max(1e-8, 64 ulp(D))
+    of D, and DomainError when the value passes the float range.
     """
     if not (math.isfinite(big_d) and big_d > 0):
         raise DomainError(f"D must be finite and > 0, got {big_d}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-
-    def total(p_r):
-        _, ell = _lagrange_profile(p_r, r)
-        return float("inf") if ell is None else sum(ell)
-
-    lo, hi = 1e-12, 1.0
     it = 0
-    while total(hi) < big_d:
-        lo, hi = hi, hi * 2
+
+    def profile(p_r):
+        nonlocal it
         it += 1
-        if it > 1000:
-            raise NoConvergenceError("bracket expansion failed", bracket=(lo, hi))
-    for _ in range(1000):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        at_mid = total(mid)
-        if at_mid < big_d:
+        if it * r > DEFAULT_ENUM_WORK_CAP:
+            raise BudgetExceededError(
+                f"Lagrange minimum at D={big_d}, r={r} exceeds work cap "
+                f"{DEFAULT_ENUM_WORK_CAP}")
+        return _lagrange_profile(p_r, r)
+
+    lo, hi = 0.0, min(1.0, big_d)
+    top = profile(hi)
+    while sum(top[1]) < big_d:
+        lo, hi = hi, min(2 * hi, big_d)
+        top = profile(hi)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        at_mid = profile(mid)
+        if sum(at_mid[1]) < big_d:
             lo = mid
         else:
-            hi = mid
-        it += 1
-        if abs(at_mid - big_d) <= 1e-10:
-            lo = hi = mid
-            break
-    p_r = 0.5 * (lo + hi)
-    ratios, ell = _lagrange_profile(p_r, r)
-    if ell is None:
-        ratios, ell = _lagrange_profile(lo, r)
-        p_r = lo
+            hi, top = mid, at_mid
+    ratios, ell = top
     residual = abs(sum(ell) - big_d)
     if residual > max(1e-8, 64 * math.ulp(float(big_d))):
         raise NoConvergenceError(
             f"constraint residual {residual} too large", bracket=(lo, hi))
     value = sum(l * math.log(q) for l, q in zip(ell, ratios))
+    if value == math.inf:
+        raise DomainError(
+            f"Lagrange minimum at D={big_d:.6g}, r={r} overflows a float")
     return LagrangeSolution(value, ratios, ell, residual, it)
 
 
@@ -376,7 +369,7 @@ def janson_mu(n, d, r, k) -> float:
     if k < 2 or n - 2 < r - 1:
         return 0.0
     log_mu = (_log_binomial(k, 2) + _log_binomial(n - 2, r - 1)
-              + r * math.log(d / n))
+              + r * (math.log(d) - math.log(n)))
     return _exp_in_range(log_mu, "mu")
 
 

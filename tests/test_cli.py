@@ -286,8 +286,10 @@ class TestEval:
         ["lemma2-exact", "D=5", f"r={10 ** 20}"],
         ["janson-k0", "n=1000", "d=10", "r=400"],
         ["aks-bound", "delta=1e308", "t=2", "c=1e308"],
+        ["lemma2-lagrange", "D=1e308", "r=1"],
     ], ids=["mu-huge-k", "u-huge-layer", "log-u-huge-layer", "lemma2-huge-r",
-            "k0-past-float-range", "aks-past-float-range"])
+            "k0-past-float-range", "aks-past-float-range",
+            "lagrange-past-float-range"])
     def test_overflow_exit_1(self, capsys, argv):
         assert main(["eval", *argv]) == 1
         captured = capsys.readouterr()
@@ -308,6 +310,23 @@ class TestEval:
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1
         assert lines[0].startswith("error: ") and "work cap" in lines[0]
+
+    # nothing bounded r: this one would have run for about 70 s
+    def test_lemma2_lagrange_huge_r_refused_at_once(self, capsys):
+        assert main(["eval", "lemma2-lagrange", "D=5", "r=5000001"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "work cap" in lines[0]
+
+    # the bisection once stopped at an absolute 1e-10, so D = 1e-20 printed
+    # -1.39e-09, and an overflow sentinel refused D = 1e305
+    @pytest.mark.parametrize("big_d", ["1e-20", "1e305"])
+    def test_lemma2_lagrange_r1_is_d_log_d(self, capsys, big_d):
+        code, rep = run(capsys, "eval", "lemma2-lagrange", f"D={big_d}", "r=1")
+        d = float(big_d)
+        assert code == 0
+        assert rep["value"] == pytest.approx(d * math.log(d), rel=1e-12)
 
     @pytest.mark.parametrize("argv, value", [
         # refused at epsilon's old default, which capped r below 10
@@ -438,6 +457,14 @@ class TestExperimentCommand:
                                            "kind = degree-pmf\n" + text)
         assert err == ("config error: degree-pmf cannot run at this config: "
                        f"{cause}\n")
+
+    # theta = d^r / log d: d = 1 passed d > log n at n = 2 and ended in a
+    # ZeroDivisionError traceback
+    def test_dense_chi_d_at_most_one_exit_2(self, tmp_path, capsys, monkeypatch):
+        err = self.refused_before_sampling(
+            tmp_path, capsys, monkeypatch,
+            "kind = dense-chi\nn = 2\nd = 1\nr = 2\n")
+        assert err == "config error: dense-chi requires d > max(1, log n)\n"
 
     # an undefined D* once failed after the first trial's kernel pass, exit 1
     @pytest.mark.parametrize("n, r", [(200_000, 3), (15, 2)])
@@ -629,7 +656,8 @@ _EVAL_INTS = st.one_of(st.integers(-3, 12), st.just(10 ** 400),
 _RADII = st.one_of(st.integers(-1, 5), st.sampled_from([12, 200, 400]))
 _EVAL_FLOATS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0"]),
-    st.floats(-2, 50, allow_nan=False).map(repr))
+    st.floats(-2, 50, allow_nan=False).map(repr),
+    st.integers(-300, 308).map(lambda k: f"1e{k}"))
 
 
 def _eval_argv(draw):
@@ -696,6 +724,10 @@ def test_numeric_flags_exit_0_to_3(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("config error: ")
+    if code == 0 and argv[:2] == ["eval", "lemma2-lagrange"]:
+        rep = json.loads(out.getvalue())
+        big_d = float(rep["inputs"]["D"])
+        assert abs(sum(rep["ell"]) - big_d) <= 1e-8 * big_d
 
 
 class TestMalformedGraphFile:

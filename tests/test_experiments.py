@@ -64,8 +64,11 @@ class TestConfig:
             make_cfg(kind="chi2-equality", r=3)
 
     def test_dense_chi_requires_dense(self):
-        with pytest.raises(ConfigError):
-            make_cfg(kind="dense-chi", n=1000, d=2.0)
+        # theta = d^r / log d needs d > 1 too, which d > log n misses at
+        # n <= 2: n = 2, d = 1 once divided by log 1
+        for n, d in ((1000, 2.0), (2, 1.0), (1, 0.5)):
+            with pytest.raises(ConfigError, match="dense-chi requires"):
+                make_cfg(kind="dense-chi", n=n, d=d)
 
     @pytest.mark.parametrize("key", ["clique_budget", "chi_budget", "edge_cap"])
     def test_negative_cap_or_budget_refused(self, key):

@@ -332,6 +332,40 @@ class TestLemma2Lagrange:
         c = (logd - p2) / math.log(logd)
         assert 0 <= c <= 3  # p_r sits within c*loglogD of logD
 
+    # the bisection once started at 1e-12 and stopped at an absolute 1e-10:
+    # D = 1e-20 gave layers summing to 5.9e-11, and D = 1e-9 was 6.8% off
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("big_d", [1e-20, 1e-9, 1e-6, 2e-4])
+    def test_small_d_meets_the_constraint(self, big_d, r):
+        sol = lemma2_min_lagrange(big_d, r)
+        assert abs(sum(sol.ell) - big_d) <= 64 * math.ulp(big_d)
+        if r == 1:
+            assert sol.value == pytest.approx(big_d * math.log(big_d),
+                                              rel=1e-12)
+
+    # an overflow sentinel at 1e300 once refused D = 1e305, whose minimum
+    # D log D fits a float
+    def test_r1_answers_the_float_range(self):
+        for big_d in (1e300, 1e305):
+            assert lemma2_min_lagrange(big_d, 1).value == pytest.approx(
+                big_d * math.log(big_d), rel=1e-12)
+        with pytest.raises(DomainError, match="overflows a float"):
+            lemma2_min_lagrange(1e308, 1)
+
+    # nothing bounded r: r = 10^6 once took 14 s at D = 5
+    def test_huge_r_refused_at_once(self):
+        with pytest.raises(BudgetExceededError, match="work cap"):
+            lemma2_min_lagrange(5, DEFAULT_ENUM_WORK_CAP + 1)
+
+    # theory-eval's r = 4 grid reaches 10^6; the first refusals on a 10^0.1
+    # grid of D lie above each of these
+    @pytest.mark.parametrize("r,big_d", [(2, 1e31), (3, 4e8), (4, 1e6),
+                                         (5, 1e6)])
+    def test_answered_below_the_first_refusal(self, r, big_d):
+        sol = lemma2_min_lagrange(big_d, r)
+        assert sol.residual <= max(1e-8, 64 * math.ulp(big_d))
+        assert sum(sol.ell) == pytest.approx(big_d, rel=1e-8)
+
     def test_invalid(self):
         with pytest.raises(DomainError):
             lemma2_min_lagrange(0, 2)
@@ -386,6 +420,10 @@ class TestJanson:
 
     def test_mu_example(self):
         assert janson_mu(1000, 10.0, 1, 100) == pytest.approx(49.5, rel=1e-9)
+
+    def test_mu_subnormal_d(self):
+        # p = d / n once underflowed to 0 and ended in log(0)'s ValueError
+        assert janson_mu(12, 5e-324, 2, 3) == 0.0
 
     def test_mu_monotone(self):
         base = janson_mu(1000, 10.0, 2, 100)
