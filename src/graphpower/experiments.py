@@ -217,7 +217,7 @@ def _measure_chi_sandwich(cfg, g):
     degrees, c, ok, proper = _color_power(cfg, g)
     deltas = {s: metrics.power_max_degree(degrees, s).delta
               for s in sorted({1, r // 2, r - 1})}
-    clique_lb = deltas[r // 2] + 1
+    clique_lb = metrics.clique_lower_bound(degrees, r)
     values = {**{f"delta_{s}": v for s, v in deltas.items()}, "two_phase_ok": ok,
               "palette": c.palette_size, "proper": proper, "clique_lb": clique_lb,
               "lb_ok": clique_lb <= c.palette_size,

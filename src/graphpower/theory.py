@@ -21,38 +21,10 @@ DEFAULT_ENUM_WORK_CAP = 5_000_000
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """BFS layer sizes (l_1, ..., l_r) from a vertex, with implicit l_0 = 1.
-
-    D is the degree in G^r this profile represents.  A zero layer followed
-    by a nonzero one is infeasible (unreachable vertices cannot repopulate
-    deeper layers).
-    """
+    """BFS layer sizes (l_1, ..., l_r) from a vertex, with implicit l_0 = 1:
+    the argmin that ``lemma2_min_exact`` returns."""
 
     ell: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ell", tuple(int(x) for x in self.ell))
-        if any(x < 0 for x in self.ell):
-            raise DomainError(f"layer sizes must be nonnegative, got {self.ell}")
-
-    @property
-    def r(self):
-        return len(self.ell)
-
-    @property
-    def total(self):
-        """D: the sum of the layer sizes."""
-        return sum(self.ell)
-
-    @property
-    def feasible(self):
-        seen_zero = False
-        for x in self.ell:
-            if x == 0:
-                seen_zero = True
-            elif seen_zero:
-                return False
-        return True
 
 
 def iterated_log(x: float, k: int) -> float:
@@ -85,29 +57,27 @@ def log_u(ell, d) -> float:
     """Exact log of the layer-profile weight (log-gamma, no Stirling).
 
     The weight is d^D * e^{-d(1 + D - l_r)} / prod(l_i!) * prod l_{i-1}^{l_i}
-    with l_0 = 1.  Note the exponent uses d (as the Poisson derivation
-    forces), and returns -inf for infeasible profiles.
+    with l_0 = 1 and D = sum l_i, for a tuple of int layers.  Note the
+    exponent uses d (as the Poisson derivation forces), and returns -inf
+    when a zero layer precedes a nonzero one.
     """
-    if isinstance(ell, DegreeProfile):
-        profile = ell
-    else:
-        profile = DegreeProfile(tuple(ell))
+    if any(x < 0 for x in ell):
+        raise DomainError(f"layer sizes must be nonnegative, got {ell}")
     if not (math.isfinite(d) and d >= 0):
         raise DomainError(f"d must be finite and >= 0, got {d}")
-    if not profile.feasible:
-        return float("-inf")
-    ells = profile.ell
-    big_d = profile.total
+    big_d = sum(ell)
     if big_d == 0:
         # all layers empty: Poisson mass at zero, or weight 1 when r = 0
-        return -d if ells else 0.0
+        return -d if ell else 0.0
     if d == 0:
         return float("-inf")  # d^D = 0: no neighbours at all
-    out = big_d * math.log(d) - d * (1 + big_d - ells[-1])
+    out = big_d * math.log(d) - d * (1 + big_d - ell[-1])
     prev = 1
-    for x in ells:
+    for x in ell:
         out -= math.lgamma(x + 1)
         if x:
+            if prev == 0:
+                return float("-inf")
             out += x * math.log(prev)
         prev = x
     return out
@@ -194,23 +164,25 @@ def lemma2_min_exact(big_d, r):
     """Exact integer minimum of the layer entropy over profiles summing to D.
 
     Returns (value, argmin profile); the lexicographically smallest argmin
-    wins ties.  The feasible prefixes l_1..l_{r-2} are enumerated; after a
-    prefix ending in m with S left to place, the cost of the last two layers
-    (x, S - x) is convex in x (l log(l/m) is jointly convex), so a binary
-    search on its forward difference finds the smallest minimiser x* and
-    only x* - 2..x* + 2 are scored with ``layer_entropy``.  The result,
-    value and argmin, is bit-identical to scoring every composition.  Each
-    evaluation is one unit of work (a search is charged its longest run,
-    two per probe, and a profile ending in zeros its length r); past
-    DEFAULT_ENUM_WORK_CAP units it raises BudgetExceededError, before any
-    profile is built when the profiles and prefixes alone pass the cap.
-    r = 3 runs to about D = 10^5 and r = 4 to about D = 700.
+    wins ties.  Every profile is a prefix of k positive layers, k = 0..
+    min(r - 1, D) - 1, then a pair (x, S - x) placing the S left, then
+    zeros.  After a prefix ending in m (1 when empty) the cost of the pair
+    is convex in x (l log(l/m) is jointly convex), so a binary search on its
+    forward difference finds the smallest minimiser x* and only x* - 2..
+    x* + 2 are scored with ``layer_entropy``, without the trailing zeros
+    (they add nothing, and sort below any positive layer); x = S ends the
+    profile one layer early.  The result, value and argmin, is bit-identical
+    to scoring every composition.  Work is charged r units for the profile
+    returned and one per prefix, both before any search, and for each
+    search its longest run, two per probe; past DEFAULT_ENUM_WORK_CAP units
+    it raises BudgetExceededError, at once when the profile and prefixes
+    alone pass the cap.  r = 3 runs to about D = 10^5, r = 4 to about
+    D = 700, and r = 400 to about D = 21.
     """
     if big_d < 0:
         raise DomainError(f"D must be >= 0, got {big_d}")
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-    best = (float("inf"), ())
     work = 0
 
     def charge(units):
@@ -221,35 +193,31 @@ def lemma2_min_exact(big_d, r):
                 f"layer-entropy minimum at D={big_d}, r={r} exceeds work cap "
                 f"{DEFAULT_ENUM_WORK_CAP}")
 
-    if big_d == 0 or r == 1:
-        charge(r)
-        ell = (big_d,) + (0,) * (r - 1)
-        return layer_entropy(ell), DegreeProfile(ell)
-    # k positive parts: for k < r - 1 one profile ending in zeros, for
-    # k = r - 1 a prefix of r - 2 parts and S > 0 left for (x, S - x)
-    ks = range(1, min(r - 1, big_d) + 1)
-    for k in ks:   # r units per profile, one at least per prefix: refuse early
-        charge(math.comb(big_d - 1, k - 1) * (r if k < r - 1 else 1))
-    for k in ks:   # k = 1: the empty cut alone, without copying range(1, D)
-        for cuts in combinations(range(1, big_d), k - 1) if k > 1 else [()]:
+    charge(r)
+    ks = range(min(r - 1, big_d))
+    for k in ks:
+        charge(math.comb(big_d - 1, k))
+    # (D,) is a profile at every D and r, and the only one at D = 0 or r = 1
+    best = (layer_entropy((big_d,)), (big_d,))
+    for k in ks:   # k = 0: the empty cut alone, without copying range(1, D)
+        for cuts in combinations(range(1, big_d), k) if k else [()]:
             parts = _parts(cuts, big_d)
-            if k < r - 1:
-                candidates = [parts + (0,) * (r - k)]
-            else:
-                prefix, s = parts[:-1], parts[-1]
-                m = prefix[-1] if prefix else 1
-                lo, hi = 1, s
-                while lo < hi:   # smallest x with f(x + 1) >= f(x), or s
-                    mid = (lo + hi) // 2
-                    if _tail_step(mid, s, m) >= 0:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                lo, hi = max(1, lo - 2), min(s, lo + 2)
-                charge(2 * (s - 1).bit_length() + hi - lo)
-                candidates = [prefix + (x, s - x) for x in range(lo, hi + 1)]
+            prefix, s = parts[:-1], parts[-1]
+            m = prefix[-1] if prefix else 1
+            lo, hi = 1, s
+            while lo < hi:   # smallest x with f(x + 1) >= f(x), or s
+                mid = (lo + hi) // 2
+                if _tail_step(mid, s, m) >= 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            lo, hi = max(1, lo - 2), min(s, lo + 2)
+            charge(2 * (s - 1).bit_length() + hi - lo)
+            candidates = [prefix + ((x, s - x) if x < s else (s,))
+                          for x in range(lo, hi + 1)]
             best = min(best, *((layer_entropy(ell), ell) for ell in candidates))
-    return best[0], DegreeProfile(best[1])
+    value, ell = best
+    return value, DegreeProfile(ell + (0,) * (r - len(ell)))
 
 
 @dataclass
@@ -288,11 +256,12 @@ def lemma2_min_lagrange(big_d, r) -> LagrangeSolution:
     The layer sum increases with p_r and is at least l_1 = p_1 >= p_r, so
     its root lies in (0, D]: the bracket's top doubles from min(1, D) but
     never past D, bisection runs until the bracket's ends are adjacent
-    floats, and the answer is read at the top.  Each layer sum is charged r
-    units of work, before it is built; past DEFAULT_ENUM_WORK_CAP units it
-    raises BudgetExceededError.  Raises NoConvergenceError (with the
-    bracket) when float64 cannot place the sum within max(1e-8, 64 ulp(D))
-    of D, and DomainError when the value passes the float range.
+    floats, and the answer is read at whichever end's layer sum is nearer
+    D (the top on a tie).  Each layer sum is charged r units of work,
+    before it is built; past DEFAULT_ENUM_WORK_CAP units it raises
+    BudgetExceededError.  Raises NoConvergenceError (with the bracket)
+    when float64 cannot place the sum within max(1e-8, 64 ulp(D)) of D,
+    and DomainError when the value passes the float range.
     """
     if not (math.isfinite(big_d) and big_d > 0):
         raise DomainError(f"D must be finite and > 0, got {big_d}")
@@ -310,17 +279,17 @@ def lemma2_min_lagrange(big_d, r) -> LagrangeSolution:
         return _lagrange_profile(p_r, r)
 
     lo, hi = 0.0, min(1.0, big_d)
-    top = profile(hi)
+    top = bottom = profile(hi)
     while sum(top[1]) < big_d:
-        lo, hi = hi, min(2 * hi, big_d)
+        lo, hi, bottom = hi, min(2 * hi, big_d), top
         top = profile(hi)
     while (mid := lo + (hi - lo) / 2) not in (lo, hi):
         at_mid = profile(mid)
         if sum(at_mid[1]) < big_d:
-            lo = mid
+            lo, bottom = mid, at_mid
         else:
             hi, top = mid, at_mid
-    ratios, ell = top
+    ratios, ell = min(top, bottom, key=lambda at: abs(sum(at[1]) - big_d))
     residual = abs(sum(ell) - big_d)
     if residual > max(1e-8, 64 * math.ulp(float(big_d))):
         raise NoConvergenceError(

@@ -319,6 +319,13 @@ class TestEval:
         assert captured.out == "" and len(lines) == 1
         assert lines[0].startswith("error: ") and "work cap" in lines[0]
 
+    # the answer was once read at the bracket's top alone, which missed
+    # the tolerance here although the bottom end met it
+    def test_lemma2_lagrange_read_at_the_nearer_end(self, capsys):
+        code, rep = run(capsys, "eval", "lemma2-lagrange", "D=1e9", "r=3")
+        assert code == 0
+        assert abs(sum(rep["ell"]) - 1e9) <= 64 * math.ulp(1e9)
+
     # the bisection once stopped at an absolute 1e-10, so D = 1e-20 printed
     # -1.39e-09, and an overflow sentinel refused D = 1e305
     @pytest.mark.parametrize("big_d", ["1e-20", "1e305"])

@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
-from graphpower import (BudgetExceededError, DegreeProfile, DomainError,
-                        aks_chi_bound, d_star, degree_sum_pmf, iterated_log,
-                        janson_k0, janson_mu, layer_entropy, lemma2_min_exact,
+from graphpower import (BudgetExceededError, DomainError, aks_chi_bound,
+                        d_star, degree_sum_pmf, iterated_log, janson_k0,
+                        janson_mu, layer_entropy, lemma2_min_exact,
                         lemma2_min_lagrange, log_u, u_value)
 from graphpower.theory import DEFAULT_ENUM_WORK_CAP, degree_pmf
 
@@ -103,14 +103,8 @@ class TestLayerWeight:
         assert u_value((0, 3), 2.0) == 0.0
         assert log_u((0, 3), 2.0) == float("-inf")
 
-    def test_accepts_profile_object(self):
-        p = DegreeProfile((2, 1))
-        assert u_value(p, 2.0) == pytest.approx(u_value((2, 1), 2.0))
-
     def test_negative_layer_refused(self):
         with pytest.raises(DomainError, match="nonnegative"):
-            DegreeProfile((2, -1))
-        with pytest.raises(DomainError):
             u_value((-1,), 2.0)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -1.0])
@@ -235,26 +229,30 @@ class TestLemma2Exact:
 
     @pytest.mark.parametrize("r,sizes", [(1, range(201)), (2, range(201)),
                                          (3, range(201)),
-                                         (4, [*range(61), 100, 200])])
+                                         (4, [*range(61), 100, 200]),
+                                         (5, range(31)), (6, range(21)),
+                                         (400, [12])])
     def test_equals_enumeration_bit_for_bit(self, r, sizes):
         for big_d in sizes:
             val, arg = lemma2_min_exact(big_d, r)
             assert (val, arg.ell) == entropy_min_enumerated(big_d, r)
 
     def test_large_inputs_answered(self):
-        # beyond what enumerating every composition fits in the work cap
-        for big_d, r in ((3000, 3), (300, 4)):
+        # beyond what enumerating every composition fits in the work cap;
+        # (16, 400) was refused at once while each zero-padded profile was
+        # charged r units
+        for big_d, r in ((3000, 3), (300, 4), (16, 400)):
             val, arg = lemma2_min_exact(big_d, r)
-            assert arg.total == big_d and arg.feasible
-            assert val == layer_entropy(arg.ell)
+            assert sum(arg.ell) == big_d and len(arg.ell) == r
+            assert val == layer_entropy(arg.ell) < math.inf
             assert lemma2_min_lagrange(big_d, r).value <= val + 1e-9
 
     def test_r2_huge_d_takes_the_empty_cut(self):
         # r = 2 has one prefix, the empty one; range(1, D) was once copied
         # to yield it, which overflowed at D = 10^20
         val, arg = lemma2_min_exact(10 ** 20, 2)
-        assert arg.total == 10 ** 20 and arg.r == 2 and arg.feasible
-        assert val == layer_entropy(arg.ell)
+        assert sum(arg.ell) == 10 ** 20 and len(arg.ell) == 2
+        assert val == layer_entropy(arg.ell) < math.inf
 
     # the forward difference of the tail cost once lost every bit past
     # D of about 10^15: the value over the continuous minimum read 1.006
@@ -271,19 +269,19 @@ class TestLemma2Exact:
             lemma2_min_exact(40, 40)   # 2^39 profiles
 
     @pytest.mark.parametrize("big_d,r", [
-        (0, DEFAULT_ENUM_WORK_CAP + 1),       # the D = 0 branch
+        (0, DEFAULT_ENUM_WORK_CAP + 1),
         (5, DEFAULT_ENUM_WORK_CAP + 1),
-        (2, DEFAULT_ENUM_WORK_CAP // 2 + 1),  # two zero-padded profiles
+        (2, DEFAULT_ENUM_WORK_CAP + 1),
     ])
-    def test_profiles_of_zeros_are_charged_their_length(self, big_d, r):
-        # each would build profiles of r entries, 40 MB at r = 5 * 10^6
+    def test_returned_profile_is_charged_its_length(self, big_d, r):
+        # it would hold r entries, 40 MB at r = 5 * 10^6
         with pytest.raises(BudgetExceededError, match="work cap"):
             lemma2_min_exact(big_d, r)
 
     def test_zero_padded_profiles_answered(self):
         assert lemma2_min_exact(0, 10)[1].ell == (0,) * 10
         val, arg = lemma2_min_exact(2, 1000)
-        assert arg.ell[:2] in ((1, 1), (2, 0)) and arg.total == 2
+        assert arg.ell[:2] in ((1, 1), (2, 0)) and sum(arg.ell) == 2
         assert val == layer_entropy(arg.ell)
 
     @pytest.mark.parametrize("big_d,r", [(-1, 2), (4, 0)])
@@ -365,6 +363,15 @@ class TestLemma2Lagrange:
         sol = lemma2_min_lagrange(big_d, r)
         assert sol.residual <= max(1e-8, 64 * math.ulp(big_d))
         assert sum(sol.ell) == pytest.approx(big_d, rel=1e-8)
+
+    # the answer was once read at the bracket's top alone, which refused
+    # the first of these D on the 10^0.1 grid at each r although the
+    # bottom end met the tolerance
+    @pytest.mark.parametrize("r,k", [(2, 318), (3, 90), (4, 74), (5, 63)])
+    def test_answered_at_the_nearer_end(self, r, k):
+        big_d = 10 ** (k / 10)
+        sol = lemma2_min_lagrange(big_d, r)
+        assert abs(sum(sol.ell) - big_d) <= max(1e-8, 64 * math.ulp(big_d))
 
     def test_invalid(self):
         with pytest.raises(DomainError):
