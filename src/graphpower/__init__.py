@@ -17,7 +17,8 @@ _EXPORTS = {
     "metrics": "PowerDegreeSummary clique_lower_bound codegree_max "
                "greedy_independent_set high_degree_set independence_number "
                "max_clique_exact power_degrees power_max_degree "
-               "power_neighborhood_edge_count short_cycle_proximity",
+               "power_max_degrees power_neighborhood_edge_count "
+               "short_cycle_proximity",
     "coloring": "Coloring dsatur_chromatic_exact greedy_power_coloring "
                 "two_phase_power_coloring verify_proper_power_coloring",
     "theory": "DegreeProfile LagrangeSolution aks_chi_bound d_star degree_sum_pmf "

@@ -173,9 +173,8 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 
 def _measure_delta(cfg, g):
-    degrees, _ = power_table(g, cfg.r, None)
-    values = {f"delta_{s}": metrics.power_max_degree(degrees, s).delta
-              for s in range(1, cfg.r + 1)}
+    values = {f"delta_{s}": delta for s, delta
+              in enumerate(metrics.power_max_degrees(g, cfg.r), 1)}
     values["d_star"] = theory.d_star(cfg.n, cfg.r)
     values["ratio"] = values[f"delta_{cfg.r}"] / values["d_star"]
     return values, {f"delta_{s}": True for s in range(1, cfg.r + 1)}
@@ -494,8 +493,13 @@ def _verify_th1(seed=1, workers=1, n_list=(10 ** 4, 10 ** 5, 10 ** 6),
     z = (mean - predicted mean) / (predicted SD / sqrt(trials)).  The gate
     is every |z| <= 4 (the degree-pmf standard) and every mean ratio in
     the band [0.3, 3].  ``monotone_toward_1`` (|ratio - 1| non-increasing
-    along n_list) is reported but not gated.
+    along n_list) is reported but not gated, and so are each point's
+    distances to the nearer band edge, min(ratio - 0.3, 3 - ratio), of the
+    mean ratio (``band_margin``) and of the predicted one
+    (``predicted_band_margin``): at n = 10^6 the prediction sits about
+    0.011 below the upper edge.
     """
+    lo, hi = 0.3, 3.0
     points = []
     for idx, n in enumerate(n_list):
         cfg = ExperimentConfig(kind="delta-concentration", n=n, d=d, r=r,
@@ -511,9 +515,13 @@ def _verify_th1(seed=1, workers=1, n_list=(10 ** 4, 10 ** 5, 10 ** 6),
                        "max_z": ((summary["mean_delta"] - predicted) / se
                                  if se else 0.0),
                        "predicted_ratio": predicted / summary["d_star"]})
+    for pt in points:
+        pt["band_margin"] = min(pt["mean_ratio"] - lo, hi - pt["mean_ratio"])
+        pt["predicted_band_margin"] = min(pt["predicted_ratio"] - lo,
+                                          hi - pt["predicted_ratio"])
     ratios = [pt["mean_ratio"] for pt in points]
     errs = [abs(x - 1.0) for x in ratios]
-    in_band = all(0.3 <= x <= 3.0 for x in ratios)
+    in_band = all(lo <= x <= hi for x in ratios)
     z_ok = all(abs(pt["max_z"]) <= 4.0 for pt in points)
     monotone = all(errs[i] >= errs[i + 1] for i in range(len(errs) - 1))
     return {"theorem": "th1", "points": points, "in_band": in_band,

@@ -1,8 +1,8 @@
 """Immutable sparse graphs, G(n,p) sampling, the one block driver that runs
-a ball expansion from every root, the (A+I)^r kernel on it, whose one pass
-gives the power degrees at every radius and the explicit power (on sorted
-keys, or on packed bit rows when the graph is dense), balls grown as
-vertex masks, the forest check, and file I/O.
+a ball expansion from every root (or from given ones), the (A+I)^r kernel
+on it, whose one pass gives the power degrees at every radius and the
+explicit power (on sorted keys, or on packed bit rows when the graph is
+dense), balls grown as vertex masks, the forest check, and file I/O.
 
 Graphs are stored in compressed-row form (``indptr``/``indices`` a la CSR)
 with strictly sorted adjacency rows, no self-loops and no parallel edges;
@@ -315,13 +315,16 @@ class _OverBudget(Exception):
     ``POWER_KEY_BUDGET`` keys."""
 
 
-def _root_blocks(g: Graph, grow):
-    """Run a ball expansion from every root at once, a block of consecutive
-    roots at a time: yields ``(start, stop, grow(start, roots, expand))``.
+def _root_blocks(g: Graph, grow, roots=None):
+    """Run a ball expansion from many roots at once, a block of consecutive
+    roots at a time: yields ``(start, stop, grow(start, keys, expand))``.
 
-    This is the package's one block driver.  ``roots`` holds the keys
-    ``local_row * (n + 1) + start`` of the block's roots, and
-    ``expand(keys)`` returns the keys ``local_row * n + w`` of every
+    This is the package's one block driver.  The roots are the sorted
+    vertices ``roots``, every vertex when it is None; ``start`` and
+    ``stop`` index the block in them, so with every vertex they are its
+    first vertex and one past its last.  ``keys`` holds the keys
+    ``local_row * n + v`` of the block's roots v, and ``expand(keys)``
+    returns the keys ``local_row * n + w`` of every
     neighbour w of each key ``local_row * n + x``, in order, with the run
     index of :func:`_gather_rows`: the position in ``keys`` of the key that
     reached each one.  Keys are int32 (``g.indices`` is cast once per
@@ -350,6 +353,8 @@ def _root_blocks(g: Graph, grow):
     dtype = np.int32 if max_rows else np.int64
     max_rows = max_rows or n
     indices = g.indices.astype(dtype)
+    count = n if roots is None else len(roots)
+    roots = None if roots is None else np.asarray(roots, dtype=dtype)
     peak = 0
 
     def charge(total):
@@ -370,13 +375,15 @@ def _root_blocks(g: Graph, grow):
     expand.charge = charge
 
     start, rows = 0, max_rows
-    while start < n:
-        stop = min(n, start + rows)
+    while start < count:
+        stop = min(count, start + rows)
         rows = stop - start
+        keys = np.arange(rows, dtype=dtype) * n
+        keys += (np.arange(start, stop, dtype=dtype) if roots is None
+                 else roots[start:stop])
         peak = 0
         try:
-            out = grow(start, np.arange(rows, dtype=dtype) * (n + 1) + start,
-                       expand)
+            out = grow(start, keys, expand)
         except _OverBudget:
             rows //= 2
             continue
@@ -385,11 +392,19 @@ def _root_blocks(g: Graph, grow):
         start = stop
 
 
-def _power_blocks(g: Graph, r):
+def _block_rows(roots, start, stop):
+    """The roots ``start:stop`` of :func:`_root_blocks` as an index into
+    the vertices: a slice, which copies nothing, when they are every
+    vertex."""
+    return slice(start, stop) if roots is None else roots[start:stop]
+
+
+def _power_blocks(g: Graph, r, roots=None):
     """The rows of (A+I)^r, a block at a time: yields (start, stop, (keys,
     sizes)), ``keys`` the sorted ``local_row * n + v`` for every v within
-    distance r of vertex ``start + local_row`` (itself included), and
-    ``sizes[k - 1]`` each row's ball size at radius k = 1..t.  The hops stop
+    distance r of root ``start + local_row`` of :func:`_root_blocks`
+    (itself included), and ``sizes[k - 1]`` each row's ball size at radius
+    k = 1..t.  The hops stop
     at the first one that reaches nothing: t = min(r, h + 1), h the last
     hop that grew one of the block's balls, and t = 0 when no root of the
     block has a neighbour.
@@ -417,7 +432,8 @@ def _power_blocks(g: Graph, r):
         balls = np.concatenate([balls, frontier])
         if r == 1:
             balls.sort()
-        sizes = [np.diff(indptr[start:start + rows + 1]) + 1]
+        own = _block_rows(roots, start, start + rows)
+        sizes = [indptr[1:][own] - indptr[own] + 1]
         for hop in range(2, r + 1):
             reached, _ = expand(frontier)
             if not reached.size:
@@ -438,7 +454,7 @@ def _power_blocks(g: Graph, r):
             sizes.append(np.bincount(balls // n, minlength=rows))
         return balls, sizes
 
-    return _root_blocks(g, grow)
+    return _root_blocks(g, grow, roots)
 
 
 def _dense(g: Graph):
@@ -495,7 +511,7 @@ def _bit_vertices(bits, start=None):
     return np.flatnonzero(flat) - np.repeat(offsets, counts)
 
 
-def _bit_power_blocks(g: Graph, r):
+def _bit_power_blocks(g: Graph, r, roots=None):
     """The rows of (A+I)^r on packed bit rows, a block at a time: yields
     (start, stop, (balls, sizes)), ``balls`` the block's rows as
     :func:`_bit_rows` packs them and ``sizes`` as :func:`_power_blocks`
@@ -515,12 +531,15 @@ def _bit_power_blocks(g: Graph, r):
     words = closed.shape[1]
     indptr, indices = g.indptr, g.indices
 
-    def grow(start, roots, expand):
-        stop = start + roots.size
-        expand.charge(8 * words * roots.size)
-        balls = closed[start:stop].copy()
-        cnt = np.diff(indptr[start:stop + 1])
-        front = indices[indptr[start]:indptr[stop]]
+    def grow(start, keys, expand):
+        stop = start + keys.size
+        own = _block_rows(roots, start, stop)
+        expand.charge(8 * words * keys.size)
+        balls = closed[own].copy()
+        cnt = indptr[1:][own] - indptr[own]
+        # a block of every vertex holds consecutive rows of indices
+        front = (indices[indptr[start]:indptr[stop]] if roots is None
+                 else _gather_rows(indices, indptr[own], cnt)[0])
         sizes = [cnt + 1] if front.size else []
         for hop in range(2, r + 1):
             if not front.size:
@@ -538,10 +557,10 @@ def _bit_power_blocks(g: Graph, r):
             sizes.append(np.bitwise_count(balls).sum(axis=1, dtype=np.int64))
         return balls, sizes
 
-    return _root_blocks(g, grow)
+    return _root_blocks(g, grow, roots)
 
 
-def power_table(g: Graph, r, edge_cap):
+def power_table(g: Graph, r, edge_cap, roots=None):
     """One pass of the power kernel: ``(degrees, power)``, on packed bit
     rows when g is dense (:func:`_dense`), else on sorted keys.  A power
     built on bit rows keeps them as its rows (:meth:`Graph.bit_rows`) and
@@ -554,16 +573,21 @@ def power_table(g: Graph, r, edge_cap):
     :class:`MemoryBudgetError` past ``edge_cap`` edges, as soon as the rows
     built so far prove it.  With ``edge_cap`` None no row is kept and
     ``power`` is None.
+
+    Given ``roots``, sorted vertices, the pass expands from those alone and
+    column i of ``degrees`` holds root i; ``edge_cap`` must then be None.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if roots is not None and edge_cap is not None:
+        raise ValueError("G^r needs the rows of every vertex")
     n = g.n
     dense = _dense(g)
-    degrees = np.zeros((1, n), dtype=np.int64)
+    degrees = np.zeros((1, n if roots is None else len(roots)), dtype=np.int64)
     kept = []
     half_edges = 0
     for start, stop, (balls, sizes) in (_bit_power_blocks if dense
-                                        else _power_blocks)(g, r):
+                                        else _power_blocks)(g, r, roots):
         grown = len(sizes) + 1 - len(degrees)
         if grown > 0:  # earlier blocks carry their last degrees down
             degrees = np.pad(degrees, ((0, grown), (0, 0)), mode="edge")

@@ -2,8 +2,12 @@
 of G and its powers, computed implicitly whenever possible: ball expansions
 from every root, run on the one block driver of :mod:`graphpower.graph`,
 count the degrees (the (A+I)^r kernel) and find the co-degrees and the
-short cycles.  Max degrees, high-degree sets and the clique lower bound
-are reads of the degree table of one :func:`graph.power_table` pass.
+short cycles.  A max degree with its argmax, high-degree sets and the
+clique lower bound are reads of the degree table of one
+:func:`graph.power_table` pass.  The maxima alone, which a
+delta-concentration trial records, come from non-backtracking walk bounds
+(:func:`power_max_degrees`), checked exactly only at the vertices whose
+bound can pass them.
 
 All operations are pure functions of an immutable :class:`~graphpower.graph.Graph`.
 Ties in argmax reductions always go to the smallest vertex index.
@@ -46,6 +50,83 @@ def power_max_degree(degrees, r) -> PowerDegreeSummary:
         return PowerDegreeSummary(0, -1)
     argmax = int(row.argmax())  # smallest index wins ties
     return PowerDegreeSummary(int(row[argmax]), argmax)
+
+
+def _walk_bounds(g: Graph, r) -> list:
+    """Upper bounds on the G^k degrees of every vertex, as rows for
+    k = 1..K, K <= r; a radius past K reads row K.
+
+    Row k is min(n - 1, S_1 + ... + S_k), S_j the number of non-backtracking
+    walks of length j from each vertex: every vertex at distance j <= k ends
+    a shortest path, a shortest path never backtracks, and distinct ends
+    give distinct walks.  S_1 = deg, S_2 = A deg - deg and S_k = A S_{k-1} -
+    (deg - 1) S_{k-2}: of the walks of length k - 1 from the neighbours of
+    v, those that step straight back to v are the walks of length k - 2
+    from v, each counted once for every neighbour it does not leave by
+    (all deg of them for the empty walk, at k = 2).  Each product A x is
+    one gather through ``indices`` and one ``np.add.reduceat``.  The rows
+    stop once no bound can grow, every vertex with walks left being at
+    n - 1, and before a product deg * S could pass 2**62, so that no count
+    wraps: that row and the ones past it are n - 1.
+    """
+    n = g.n
+    deg = g.degrees()
+    top = n - 1
+    has = deg > 0
+    starts = g.indptr[:-1][has]
+    widest = int(deg.max(initial=0))
+
+    def times_a(x):
+        out = np.zeros(n, dtype=np.int64)
+        out[has] = np.add.reduceat(x[g.indices], starts)
+        return out
+
+    bounds = [deg]
+    bound, walks, back, weight = deg, deg, 1, deg
+    for _ in range(2, r + 1):
+        if not walks[bound < top].any():
+            break
+        # weight * back passed this check a row earlier
+        if widest * int(walks.max()) >= 1 << 62:
+            bounds.append(np.full(n, top))
+            break
+        walks, back = times_a(walks) - weight * back, walks
+        weight = deg - 1
+        bound = np.minimum(bound + walks, top)
+        bounds.append(bound)
+    return bounds
+
+
+def power_max_degrees(g: Graph, r) -> list:
+    """[Delta(G^1), ..., Delta(G^r)], all 0 when g has no edge.
+
+    Read from the walk bounds of :func:`_walk_bounds`, which are exact on a
+    vertex whose ball is a tree, as almost every ball of G(n, d/n) is.
+    Radius 1 knows Delta(G); radius k knows the larger of what radius
+    k - 1 knows and the G^k degree of the vertex with the largest bound,
+    counted on its :func:`graph.ball`, each a G^k degree some vertex
+    reaches.  A vertex whose bound passes what its radius knows is a
+    candidate, and one pass of :func:`graph.power_table` from the
+    candidates alone gives their exact degrees; no other vertex can pass
+    it, so Delta(G^k) is the larger of the two.  A radius past the last
+    bound row has that row's bounds and takes what that row knows.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if not g.m:
+        return [0] * r
+    bounds = _walk_bounds(g, r)
+    known = [0, int(bounds[0].max())]  # by radius, as the table's rows
+    hot = np.zeros(g.n, dtype=bool)
+    for k, bound in enumerate(bounds[1:], 2):
+        seed = int(bound.argmax())
+        known.append(max(known[-1], len(ball(g, seed, k)) - 1))
+        hot |= bound > known[-1]
+    table = power_table(g, r, None, np.flatnonzero(hot))[0]
+    found = table.max(axis=1, initial=0).tolist()
+    # a radius past the last row of either reads that row
+    return [max(known[min(k, len(known) - 1)], found[min(k, len(found) - 1)])
+            for k in range(1, r + 1)]
 
 
 def high_degree_set(degrees, r, threshold) -> list:

@@ -284,7 +284,9 @@ def test_ac9_theorem1_trend(capsys):
            f"{[round(p['predicted_max'], 2) for p in points]} (z {zs}, gate 4), "
            f"mean ratios {[round(x, 3) for x in ratios]} vs predicted "
            f"{[round(p['predicted_ratio'], 3) for p in points]} "
-           f"(band [0.3,3] {'ok' if rep['in_band'] else 'violated'}, "
+           f"(band [0.3,3] {'ok' if rep['in_band'] else 'violated'}, margins "
+           f"{[round(p['band_margin'], 3) for p in points]} vs predicted "
+           f"{[round(p['predicted_band_margin'], 3) for p in points]}, "
            f"monotone {'yes' if rep['monotone_toward_1'] else 'no'}, "
            f"not gated), {elapsed:.0f}s")
     assert elapsed < 900

@@ -133,8 +133,8 @@ def degrees_in_small_blocks(g, r, budget):
     yielded = []
     power_blocks = graph._power_blocks
 
-    def record(g, r):
-        for start, stop, rows in power_blocks(g, r):
+    def record(g, r, roots=None):
+        for start, stop, rows in power_blocks(g, r, roots):
             yielded.append((start, stop))
             yield start, stop, rows
 

@@ -110,7 +110,7 @@ def test_bit_blocks_charge_the_driver(g, r, budget):
     blocks = []
     root_blocks = graph._root_blocks
 
-    def recording(g, grow):
+    def recording(g, grow, vertices=None):
         def charged(start, roots, expand):
             totals = []
 
@@ -126,7 +126,7 @@ def test_bit_blocks_charge_the_driver(g, r, budget):
             blocks.append((start, roots.size, max(totals)))
             return out
 
-        return root_blocks(g, charged)
+        return root_blocks(g, charged, vertices)
 
     with pytest.MonkeyPatch.context() as mp:
         forced(mp, True)

@@ -437,8 +437,15 @@ class TestTh1Gate:
         for pt in rep["points"]:
             assert pt["max_z"] == pytest.approx(0.0, abs=1e-12)
             assert pt["predicted_ratio"] == pytest.approx(pt["mean_ratio"])
+            ratio = pt["predicted_ratio"]
+            assert pt["predicted_band_margin"] == min(ratio - 0.3, 3.0 - ratio)
+            assert pt["band_margin"] == pytest.approx(
+                pt["predicted_band_margin"])
 
     def test_shifted_maxima_fail(self, monkeypatch):
         rep = self.run(monkeypatch, -5.0)
         assert rep["in_band"] and not rep["z_ok"] and not rep["passed"]
         assert all(pt["max_z"] < -4.0 for pt in rep["points"])
+        # the maxima sit 5 below the prediction, below the upper band edge
+        assert all(pt["band_margin"] > pt["predicted_band_margin"] > 0
+                   for pt in rep["points"])

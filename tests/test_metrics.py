@@ -1,13 +1,16 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpower import (BudgetExceededError, Graph, RandomSource,
                         clique_lower_bound, codegree_max, gnp_sample,
                         graph_power, greedy_independent_set, high_degree_set,
                         independence_number, max_clique_exact, power_degrees,
-                        power_max_degree, power_neighborhood_edge_count,
-                        short_cycle_proximity)
+                        power_max_degree, power_max_degrees,
+                        power_neighborhood_edge_count, short_cycle_proximity)
+from graphpower import graph, metrics
 from graphpower.coloring import dsatur_chromatic_exact, greedy_coloring_explicit
 from graphpower.graph import power_table
 
@@ -58,6 +61,101 @@ class TestPowerDegrees:
         g = gnp_sample(80, 0.04, RandomSource(3))
         deltas = [power_max_degree(table(g, r), r).delta for r in (1, 2, 3, 4)]
         assert deltas == sorted(deltas)
+
+
+def table_maxima(g, r):
+    """Delta(G^1), ..., Delta(G^r) read from the degree table."""
+    degrees = table(g, r)
+    return [power_max_degree(degrees, s).delta for s in range(1, r + 1)]
+
+
+def lollipop(m, tail):
+    """K_m with a path of ``tail`` more vertices hung from its last one."""
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return Graph.from_edges(m + tail, clique + [(m - 1 + i, m + i)
+                                                for i in range(tail)])
+
+
+class TestPowerMaxDegrees:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 200), st.floats(0, 1), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_table_maxima(self, n, p, r, seed):
+        g = gnp_sample(n, p, RandomSource(seed))
+        assert power_max_degrees(g, r) == table_maxima(g, r)
+
+    @pytest.mark.parametrize("g, tree", [
+        (Graph.from_edges(127, [(i // 2, i + 1) for i in range(126)]), True),
+        (gnp_sample(400, 3 / 400, RandomSource(5)), False)])
+    def test_walk_bounds(self, g, tree):
+        """Every bound holds, and on a tree it is the degree itself."""
+        degrees, bounds = table(g, 6), metrics._walk_bounds(g, 6)
+        for k in range(1, 7):
+            exact = degrees[min(k, len(degrees) - 1)]
+            bound = bounds[min(k, len(bounds)) - 1]
+            assert (bound == exact).all() if tree else (bound >= exact).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, n):
+        assert power_max_degrees(Graph.from_edges(n, []), 3) == [0, 0, 0]
+
+    def test_single_edge_reads_its_last_hop(self):
+        assert power_max_degrees(path_graph(2), 5) == [1] * 5
+
+    def test_r1_is_the_max_degree(self):
+        g = gnp_sample(300, 0.02, RandomSource(4))
+        assert power_max_degrees(g, 1) == [int(g.degrees().max())]
+
+    def test_complete_graph_bounds_saturate(self):
+        g = complete_graph(9)
+        assert all((row == 8).all() for row in metrics._walk_bounds(g, 4))
+        assert power_max_degrees(g, 4) == [8] * 4
+
+    def test_overflow_guard(self):
+        """On K_40 the walk counts pass 2**62 at radius 12 while the
+        bounds on the tail's far end are still small: that row is n - 1."""
+        g = lollipop(40, 60)
+        bounds = metrics._walk_bounds(g, 12)
+        assert len(bounds) == 12 and (bounds[-1] == g.n - 1).all()
+        assert bounds[-2].min() == 11
+        assert power_max_degrees(g, 12) == table_maxima(g, 12)
+        g = gnp_sample(300, 0.5, RandomSource(2))
+        assert power_max_degrees(g, 12) == table_maxima(g, 12)
+
+    def expanded(self, g, r):
+        """The roots the kernel expanded, in order, and the number of
+        single-vertex balls grown by ``ball``."""
+        seen, balls = [], []
+        root_blocks, ball = graph._root_blocks, metrics.ball
+
+        def counting(g, grow, roots=None):
+            def counted(start, keys, expand):
+                out = grow(start, keys, expand)  # a block redone is not seen
+                seen.extend((keys % g.n).tolist())
+                return out
+            return root_blocks(g, counted, roots)
+
+        def counted_ball(*args):
+            balls.append(args)
+            return ball(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_root_blocks", counting)
+            mp.setattr(metrics, "ball", counted_ball)
+            got = power_max_degrees(g, r)
+        assert got == table_maxima(g, r)
+        return seen, len(balls)
+
+    def test_each_candidate_is_expanded_once(self):
+        """The dense worst case: most vertices are candidates, and one
+        kernel pass expands each of them once."""
+        roots, balls = self.expanded(gnp_sample(1000, 0.03, RandomSource(1)), 2)
+        assert len(roots) > 500 and len(roots) == len(set(roots))
+        assert balls == 1
+
+    def test_sparse_graph_expands_a_handful(self):
+        roots, balls = self.expanded(gnp_sample(10 ** 4, 2e-4, RandomSource(1)), 2)
+        assert len(roots) <= 3 and balls == 1
 
 
 class TestHighDegreeSet:

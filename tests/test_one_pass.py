@@ -39,9 +39,9 @@ def counted_passes():
     passes, samples = Counter(), []
     root_blocks, sample = graph._root_blocks, experiments.gnp_sample
 
-    def counting(g, grow):
+    def counting(g, grow, roots=None):
         passes[id(g)] += 1
-        return root_blocks(g, grow)
+        return root_blocks(g, grow, roots)
 
     def recording(*args, **kwargs):
         samples.append(sample(*args, **kwargs))

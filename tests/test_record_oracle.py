@@ -31,7 +31,12 @@ def configs(draw):
         r = draw(st.integers(1, 2))
     else:
         n = draw(st.integers(20 if kind == "delta-concentration" else 1, 60))
-        d = draw(st.floats(0.3, min(3.0, n)))
+        # delta-concentration also draws dense graphs, whose balls have
+        # cycles and whose walk bounds saturate at n - 1
+        if kind == "delta-concentration":
+            d = draw(st.floats(0.3, min(n - 1.0, 20.0)))
+        else:
+            d = draw(st.floats(0.3, min(3.0, n)))
         r = {"chi2-equality": st.just(2), "chi-sandwich": st.integers(2, 4),
              "delta-concentration": st.integers(1, 2),
              "clique-sandwich": st.integers(1, 3)}.get(kind, st.integers(1, 3))
