@@ -317,22 +317,23 @@ class _OverBudget(Exception):
 
 def _root_blocks(g: Graph, grow, roots=None):
     """Run a ball expansion from many roots at once, a block of consecutive
-    roots at a time: yields ``(start, stop, grow(start, keys, expand))``.
+    roots at a time: yields ``(start, stop, grow(keys, expand))``.
 
-    This is the package's one block driver.  The roots are the sorted
-    vertices ``roots``, every vertex when it is None; ``start`` and
-    ``stop`` index the block in them, so with every vertex they are its
-    first vertex and one past its last.  ``keys`` holds the keys
-    ``local_row * n + v`` of the block's roots v, and ``expand(keys)``
-    returns the keys ``local_row * n + w`` of every
+    This is the package's one block driver, and the only code that maps a
+    block to its vertices.  The roots are the sorted vertices ``roots``
+    (ValueError on one outside [0, n)), every vertex when none are given;
+    ``start`` and ``stop`` index the block in them, and so in the vertices
+    when they are every vertex.  ``keys`` holds the keys ``local_row * n +
+    v`` of the block's roots v, which ``grow`` reads as ``keys % n``, and
+    ``expand(keys)`` returns the keys ``local_row * n + w`` of every
     neighbour w of each key ``local_row * n + x``, in order, with the run
     index of :func:`_gather_rows`: the position in ``keys`` of the key that
-    reached each one.  Keys are int32 (``g.indices`` is cast once per
-    call) and a block holds at most ``POWER_INT32_KEYS // n`` roots, so a
-    key tagged in its low bit stays below 2**31; only when one root cannot
-    fit (n > ``POWER_INT32_KEYS``) are they int64, with no row cap.  A
-    ``grow`` that holds its balls otherwise charges each expansion with
-    ``expand.charge(total)``, ``total`` its keys or words.
+    reached each one.  Keys are int32 (``g.indices`` is cast
+    once per call) and a block holds at most ``POWER_INT32_KEYS // n``
+    roots, so a key tagged in its low bit stays below 2**31; only when one
+    root cannot fit (n > ``POWER_INT32_KEYS``) are they int64, with no row
+    cap.  A ``grow`` that holds its balls otherwise charges each expansion
+    with ``expand.charge(total)``, ``total`` its keys or words.
 
     The first block tries every root under the row cap; a block of more
     than one root is halved and redone as soon as one expansion would pass
@@ -352,9 +353,10 @@ def _root_blocks(g: Graph, grow, roots=None):
     max_rows = POWER_INT32_KEYS // max(n, 1)
     dtype = np.int32 if max_rows else np.int64
     max_rows = max_rows or n
+    roots = np.arange(n) if roots is None else np.asarray(roots, dtype=np.int64)
+    if roots.size and not 0 <= roots.min() <= roots.max() < n:
+        raise ValueError("roots must be vertices of g")
     indices = g.indices.astype(dtype)
-    count = n if roots is None else len(roots)
-    roots = None if roots is None else np.asarray(roots, dtype=dtype)
     peak = 0
 
     def charge(total):
@@ -375,15 +377,14 @@ def _root_blocks(g: Graph, grow, roots=None):
     expand.charge = charge
 
     start, rows = 0, max_rows
-    while start < count:
-        stop = min(count, start + rows)
+    while start < roots.size:
+        stop = min(roots.size, start + rows)
         rows = stop - start
         keys = np.arange(rows, dtype=dtype) * n
-        keys += (np.arange(start, stop, dtype=dtype) if roots is None
-                 else roots[start:stop])
+        keys += roots[start:stop]
         peak = 0
         try:
-            out = grow(start, keys, expand)
+            out = grow(keys, expand)
         except _OverBudget:
             rows //= 2
             continue
@@ -392,48 +393,39 @@ def _root_blocks(g: Graph, grow, roots=None):
         start = stop
 
 
-def _block_rows(roots, start, stop):
-    """The roots ``start:stop`` of :func:`_root_blocks` as an index into
-    the vertices: a slice, which copies nothing, when they are every
-    vertex."""
-    return slice(start, stop) if roots is None else roots[start:stop]
-
-
 def _power_blocks(g: Graph, r, roots=None):
-    """The rows of (A+I)^r, a block at a time: yields (start, stop, (keys,
-    sizes)), ``keys`` the sorted ``local_row * n + v`` for every v within
-    distance r of root ``start + local_row`` of :func:`_root_blocks`
+    """The rows of (A+I)^r from the roots of :func:`_root_blocks`, a block
+    at a time: yields (start, stop, (keys, sizes)), ``keys`` the sorted
+    ``local_row * n + v`` for every v within distance r of the row's root
     (itself included), and ``sizes[k - 1]`` each row's ball size at radius
-    k = 1..t.  The hops stop
-    at the first one that reaches nothing: t = min(r, h + 1), h the last
-    hop that grew one of the block's balls, and t = 0 when no root of the
-    block has a neighbour.
+    k = 1..t.  The hops stop at the first one that reaches nothing: t =
+    min(r, h + 1), h the last hop that grew one of the block's balls, and
+    t = 0 when no root of the block has a neighbour.
 
-    The ball expansion behind every power, run on :func:`_root_blocks`, in
-    the style of Gustavson's row-wise sparse product (ACM TOMS 4(3), 1978).
-    Each hop joins every neighbour of the newest layer.  In a simple graph
+    The ball expansion behind every power, a ``grow(keys, expand)`` of
+    :func:`_root_blocks`, in the style of Gustavson's row-wise sparse
+    product (ACM TOMS 4(3), 1978).  Each hop joins every neighbour of the newest layer.  In a simple graph
     hop 1's new layer is exactly N(v), with no loop and no repeated entry,
     so hop 1 neither sorts nor deduplicates: the ball is the roots and
     their rows (sorted only at r = 1, where it is returned), the frontier
-    the rows, and the sizes the degrees plus one.  On the later hops before
+    the rows, and the sizes one plus a bincount of the run index.  On the
+    later hops before
     the last, ball keys are tagged 0 and reached keys 1 in the low bit, so
     after one sort the first copy of each key tells whether it is new; the
     last hop needs no new layer and only sorts and deduplicates.  A later
     hop counts its ball sizes by a bincount of the keys' rows.
     """
     n = g.n
-    indptr = g.indptr
 
-    def grow(start, balls, expand):
+    def grow(balls, expand):
         rows = balls.size
-        frontier, _ = expand(balls)
+        frontier, run = expand(balls)
         if not frontier.size:
             return balls, []
+        sizes = [np.bincount(run, minlength=rows) + 1]
         balls = np.concatenate([balls, frontier])
         if r == 1:
             balls.sort()
-        own = _block_rows(roots, start, start + rows)
-        sizes = [indptr[1:][own] - indptr[own] + 1]
         for hop in range(2, r + 1):
             reached, _ = expand(frontier)
             if not reached.size:
@@ -517,29 +509,28 @@ def _bit_power_blocks(g: Graph, r, roots=None):
     :func:`_bit_rows` packs them and ``sizes`` as :func:`_power_blocks`
     gives them.
 
-    The dense twin of :func:`_power_blocks`, run on :func:`_root_blocks`:
-    hop 1 copies the roots' rows of A + I, and each later hop ORs the rows
-    of the newest layer into their root's ball (one gather and one
-    ``np.bitwise_or.reduceat``) and counts the balls by
-    ``np.bitwise_count``.  Hop 2 reads the first layer from the CSR rows;
-    each later layer is unpacked from the bits a hop added.  A block
-    charges the driver's budget, in words, with its rows unpacked at one
-    byte per vertex and with the rows each hop gathers.
+    The dense twin of :func:`_power_blocks`, a ``grow(keys, expand)`` of
+    :func:`_root_blocks`: hop 1 gathers the rows of A + I of the roots
+    ``keys % n``, and each later hop ORs the rows of the newest layer into
+    their root's ball (one gather and one ``np.bitwise_or.reduceat``) and
+    counts the balls by ``np.bitwise_count``.  Hop 2 reads the first layer
+    from the roots' CSR rows by :func:`_gather_rows`; each later layer is
+    unpacked from the bits a hop added.  A block charges the driver's
+    budget, in words, with its rows unpacked at one byte per vertex and
+    with the rows each hop gathers.
     """
     n = g.n
     closed = g.bit_rows()
     words = closed.shape[1]
     indptr, indices = g.indptr, g.indices
 
-    def grow(start, keys, expand):
-        stop = start + keys.size
-        own = _block_rows(roots, start, stop)
+    def grow(keys, expand):
         expand.charge(8 * words * keys.size)
-        balls = closed[own].copy()
-        cnt = indptr[1:][own] - indptr[own]
-        # a block of every vertex holds consecutive rows of indices
-        front = (indices[indptr[start]:indptr[stop]] if roots is None
-                 else _gather_rows(indices, indptr[own], cnt)[0])
+        own = keys % n
+        balls = closed[own]
+        lo = indptr[own]
+        cnt = indptr[1:][own] - lo
+        front = _gather_rows(indices, lo, cnt)[0]
         sizes = [cnt + 1] if front.size else []
         for hop in range(2, r + 1):
             if not front.size:
@@ -575,24 +566,18 @@ def power_table(g: Graph, r, edge_cap, roots=None):
     ``power`` is None.
 
     Given ``roots``, sorted vertices, the pass expands from those alone and
-    column i of ``degrees`` holds root i; ``edge_cap`` must then be None.
+    column i of ``degrees`` holds root i (ValueError on a root outside
+    [0, n)); ``edge_cap`` must then be None.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if roots is not None and edge_cap is not None:
-        raise ValueError("G^r needs the rows of every vertex")
     n = g.n
     dense = _dense(g)
-    degrees = np.zeros((1, n if roots is None else len(roots)), dtype=np.int64)
-    kept = []
+    blocks, kept = [], []
     half_edges = 0
     for start, stop, (balls, sizes) in (_bit_power_blocks if dense
                                         else _power_blocks)(g, r, roots):
-        grown = len(sizes) + 1 - len(degrees)
-        if grown > 0:  # earlier blocks carry their last degrees down
-            degrees = np.pad(degrees, ((0, grown), (0, 0)), mode="edge")
-        for k, size in enumerate(sizes, 1):  # radius k and the ones past it
-            degrees[k:, start:stop] = size - 1
+        blocks.append((start, stop, sizes))
         if edge_cap is not None:
             if sizes:
                 half_edges += int(sizes[-1].sum()) - (stop - start)
@@ -604,8 +589,16 @@ def power_table(g: Graph, r, edge_cap, roots=None):
             else:
                 col = balls % n
                 kept.append(col[col != balls // n + start])
+    # the rows run to the longest block's t, the columns to the last root
+    degrees = np.zeros((1 + max((len(sizes) for *_, sizes in blocks), default=0),
+                        blocks[-1][1] if blocks else 0), dtype=np.int64)
+    for start, stop, sizes in blocks:
+        for k, size in enumerate(sizes, 1):  # radius k and the ones past it
+            degrees[k:, start:stop] = size - 1
     if edge_cap is None:
         return degrees, None
+    if degrees.shape[1] != n:
+        raise ValueError("G^r needs the rows of every vertex")
     if dense:
         bits = np.concatenate(kept) if kept else np.empty((0, 0), dtype=np.uint64)
         return degrees, Graph._from_bit_rows(bits, degrees[-1])
@@ -649,15 +642,20 @@ def neighborhood_union(g: Graph, s, r):
 
 def induced_subgraph(g: Graph, s):
     """Graph induced on vertex set s: the new index of a vertex is its rank
-    in sorted(s).  The edges of g are relabelled through one index array
-    (-1 outside s) and kept where both ends are in s.
+    in sorted(s).  The rows of s are read by one :func:`_gather_rows` and
+    relabelled through one index array (-1 outside s), which keeps their
+    order, so the entries kept are the CSR of the subgraph as they stand.
     """
-    s = sorted(set(s))
+    s = np.array(sorted(set(s)), dtype=np.int64)
     label = np.full(g.n, -1, dtype=np.int64)
-    label[s] = np.arange(len(s))
-    edges = label[g.edge_array()]
-    edges = edges[(edges >= 0).all(axis=1)]
-    return Graph.from_edges(len(s), edges)
+    label[s] = np.arange(s.size)
+    lo = g.indptr[s]
+    reached, run = _gather_rows(g.indices, lo, g.indptr[s + 1] - lo)
+    reached = label[reached]
+    inside = reached >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(run[inside],
+                                                        minlength=s.size))])
+    return Graph(s.size, indptr, reached[inside], validate=False)
 
 
 def is_forest(g: Graph):

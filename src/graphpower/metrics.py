@@ -64,22 +64,22 @@ def _walk_bounds(g: Graph, r) -> list:
     v, those that step straight back to v are the walks of length k - 2
     from v, each counted once for every neighbour it does not leave by
     (all deg of them for the empty walk, at k = 2).  Each product A x is
-    one gather through ``indices`` and one ``np.add.reduceat``.  The rows
-    stop once no bound can grow, every vertex with walks left being at
-    n - 1, and before a product deg * S could pass 2**62, so that no count
-    wraps: that row and the ones past it are n - 1.
+    one gather through ``indices`` and one ``uint64`` running sum,
+    differenced at ``indptr``: the sum wraps modulo 2**64, so a difference
+    is exact while its row's sum fits.  The rows stop once no bound can
+    grow, every vertex with walks left being at n - 1, and before a product
+    deg * S could pass 2**62, so that no row's sum wraps: that row and the
+    ones past it are n - 1.
     """
     n = g.n
     deg = g.degrees()
     top = n - 1
-    has = deg > 0
-    starts = g.indptr[:-1][has]
     widest = int(deg.max(initial=0))
 
     def times_a(x):
-        out = np.zeros(n, dtype=np.int64)
-        out[has] = np.add.reduceat(x[g.indices], starts)
-        return out
+        sums = np.zeros(g.indices.size + 1, dtype=np.uint64)
+        np.cumsum(x[g.indices].view(np.uint64), out=sums[1:])
+        return np.diff(sums[g.indptr]).view(np.int64)
 
     bounds = [deg]
     bound, walks, back, weight = deg, deg, 1, deg
@@ -314,7 +314,7 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
     h = t // 2
     hit = np.zeros(n, dtype=bool)
 
-    def grow(_, roots, expand):
+    def grow(roots, expand):
         found = np.zeros(roots.size, dtype=bool)
         prev, (front, _) = roots, expand(roots)
         label = front % n
@@ -384,7 +384,8 @@ def codegree_max(g: Graph, r):
         first = np.flatnonzero(first_copies(keys))
         return keys[first], np.diff(first, append=keys.size)
 
-    def grow(start, roots, expand):
+    def grow(roots, expand):
+        own = roots % n
         layer_best = power_best = 0
         prev, (front, _) = roots, expand(roots)
         layers, into = [], []
@@ -396,7 +397,7 @@ def codegree_max(g: Graph, r):
             into.append(reached)
             row = keys // n
             # w = v is left out
-            layer_best = max(layer_best, count[keys - row * n != row + start]
+            layer_best = max(layer_best, count[keys - row * n != own[row]]
                              .max(initial=0))
             layers.append(front)
             new = ~_in_sorted(keys, front) & ~_in_sorted(keys, prev)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from graphpower import (Coloring, Graph, codegree_max, gnp_sample, graph,
                         graph_power, greedy_power_coloring,
                         short_cycle_proximity, verify_proper_power_coloring)
+from graphpower.graph import power_table
 from graphpower.metrics import vertices_on_short_cycles
 from graphpower.rng import RandomSource
 
@@ -77,9 +78,10 @@ def test_root_blocks_cover_every_root_once_in_order(g, lay, cap):
     the position of the key that reached each one."""
     blocks = []
 
-    def grow(start, roots, expand):
+    def grow(roots, expand):
         reached, run = expand(roots)
-        blocks.append((start, roots, reached, run))
+        # every vertex is a root: local row 0 holds the block's first
+        blocks.append((int(roots[0]), roots, reached, run))
 
     with pytest.MonkeyPatch.context() as mp:
         layout(mp, g, *lay)
@@ -101,6 +103,55 @@ def test_root_blocks_cover_every_root_once_in_order(g, lay, cap):
                                 for _ in g.neighbors(start + i).tolist()]
         assert roots.size == 1 or reached.size <= budget
         assert lay[1] or roots.size <= cap
+
+
+@st.composite
+def rooted_graphs(draw):
+    """A graph and sorted roots: none, one isolated vertex (appended to the
+    graph), every vertex, or a random subset."""
+    g = draw(graphs())
+    kind = draw(st.sampled_from(["empty", "isolated", "every", "subset"]))
+    if kind == "isolated":
+        g = union(g, Graph.from_edges(1, []))
+        return g, [g.n - 1]
+    if kind == "subset":
+        return g, sorted(draw(st.sets(st.integers(0, max(g.n - 1, 0)),
+                                      max_size=g.n)))
+    return g, list(range(g.n)) if kind == "every" else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooted_graphs(), st.integers(1, 4), st.booleans(), LAYOUTS)
+def test_table_from_roots_is_the_full_tables_columns(case, r, dense, lay):
+    """``power_table`` from given roots, on either kernel and in blocks of
+    a few keys, holds the full table's columns at those roots at every
+    radius (each table ends at its own last growing hop)."""
+    g, roots = case
+    with pytest.MonkeyPatch.context() as mp:
+        layout(mp, g, *lay)
+        mp.setattr(graph, "_dense", lambda g: dense)
+        full = power_table(g, r, None)[0]
+        part = power_table(g, r, None, np.array(roots, dtype=np.int64))[0]
+    assert part.shape[1] == len(roots)
+    for s in range(r + 1):
+        assert (part[min(s, len(part) - 1)]
+                == full[min(s, len(full) - 1)][roots]).all()
+
+
+@pytest.mark.parametrize("root", [-45, -1, 50, 55])
+@pytest.mark.parametrize("dense", [False, True])
+def test_table_refuses_roots_outside_the_graph(root, dense):
+    g = gnp_sample(50, 0.1, RandomSource(3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_dense", lambda g: dense)
+        with pytest.raises(ValueError, match="vertices of g"):
+            power_table(g, 2, None, [0, root] if root > 0 else [root, 0])
+
+
+def test_power_refuses_roots_short_of_every_vertex():
+    g = gnp_sample(50, 0.1, RandomSource(3))
+    with pytest.raises(ValueError, match="every vertex"):
+        power_table(g, 2, graph.DEFAULT_EDGE_CAP, [1, 2])
 
 
 @SETTINGS

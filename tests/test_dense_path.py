@@ -111,7 +111,7 @@ def test_bit_blocks_charge_the_driver(g, r, budget):
     root_blocks = graph._root_blocks
 
     def recording(g, grow, vertices=None):
-        def charged(start, roots, expand):
+        def charged(roots, expand):
             totals = []
 
             def counted(keys):
@@ -122,8 +122,9 @@ def test_bit_blocks_charge_the_driver(g, r, budget):
                 expand.charge(total)
 
             counted.charge = charge
-            out = grow(start, roots, counted)
-            blocks.append((start, roots.size, max(totals)))
+            out = grow(roots, counted)
+            # every vertex is a root: local row 0 holds the block's first
+            blocks.append((int(roots[0]), roots.size, max(totals)))
             return out
 
         return root_blocks(g, charged, vertices)

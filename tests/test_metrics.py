@@ -129,8 +129,8 @@ class TestPowerMaxDegrees:
         root_blocks, ball = graph._root_blocks, metrics.ball
 
         def counting(g, grow, roots=None):
-            def counted(start, keys, expand):
-                out = grow(start, keys, expand)  # a block redone is not seen
+            def counted(keys, expand):
+                out = grow(keys, expand)  # a block redone is not seen
                 seen.extend((keys % g.n).tolist())
                 return out
             return root_blocks(g, counted, roots)

@@ -14,7 +14,8 @@ walk fails here rather than in a profile.  The dense predicate and the
 packed bit rows are read by a pinned list of functions too, so a third
 dense fork fails here.  The constants that size a
 block of ball expansions are read by the one block driver alone, so a
-second block loop fails here.  No code branches on an experiment kind by
+second block loop fails here, and only the driver tells every vertex from
+given roots.  No code branches on an experiment kind by
 name, since each kind is one row of the experiments table.  Every
 function the benchmark's tracer wraps still exists, so a renamed one
 fails here rather than in a traced benchmark run.  The package loads its
@@ -212,6 +213,25 @@ def test_block_constants_are_read_by_the_driver_alone():
                     for path in sorted(PACKAGE.glob("*.py"))
                     for owner in owners(ast.parse(path.read_text(), str(path)),
                                         reads)})
+    assert found == ["graph.py:_root_blocks"]
+
+
+# the one place that tells every vertex from given roots: a block of the
+# driver holds its roots as keys, which every grow reads as ``keys % n``,
+# so a second "every vertex or given roots" fork fails here
+def test_roots_are_told_from_every_vertex_by_the_driver_alone():
+    def roots_against_none(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left, *node.comparators]
+        return (any(name_of(side) == "roots" for side in sides)
+                and any(isinstance(side, ast.Constant) and side.value is None
+                        for side in sides))
+
+    found = sorted(f"{path.name}:{owner}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for owner in owners(ast.parse(path.read_text(), str(path)),
+                                       roots_against_none))
     assert found == ["graph.py:_root_blocks"]
 
 
