@@ -144,13 +144,15 @@ def dsatur_chromatic_exact(gp: Graph, node_budget=DEFAULT_NODE_BUDGET) -> Colori
     DSATUR branch-and-bound seeded by the exact clique lower bound, where it
     stops, and the DSATUR-greedy upper bound.  Intended for small instances
     (n <= ~80).  Raises BudgetExceededError with the best bounds attached.
+    The clique bound's nodes are counted apart from the DSATUR nodes, each
+    against ``node_budget``, so one call can visit up to 2 * ``node_budget``.
     """
     n = gp.n
     ub_col = dsatur_greedy(gp)
     best = ub_col.palette_size
     best_colors = ub_col.colors
     try:
-        lb = max_clique_exact(gp, node_budget=min(node_budget, 1_000_000))
+        lb = max_clique_exact(gp, node_budget=node_budget)
     except BudgetExceededError as exc:
         lb = exc.lower or 1
     if lb >= best:

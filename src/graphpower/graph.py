@@ -320,15 +320,15 @@ def _root_blocks(g: Graph, grow, roots=None):
     roots at a time: yields ``(start, stop, grow(keys, expand))``.
 
     This is the package's one block driver, and the only code that maps a
-    block to its vertices.  The roots are the sorted vertices ``roots``
-    (ValueError on one outside [0, n)), every vertex when none are given;
-    ``start`` and ``stop`` index the block in them, and so in the vertices
-    when they are every vertex.  ``keys`` holds the keys ``local_row * n +
-    v`` of the block's roots v, which ``grow`` reads as ``keys % n``, and
-    ``expand(keys)`` returns the keys ``local_row * n + w`` of every
-    neighbour w of each key ``local_row * n + x``, in order, with the run
-    index of :func:`_gather_rows`: the position in ``keys`` of the key that
-    reached each one.  Keys are int32 (``g.indices`` is cast
+    block to its vertices.  The roots are every vertex, or the sorted
+    vertices ``roots`` a power kernel is handed (ValueError on one outside
+    [0, n)); with no root it yields nothing and casts nothing.  ``start``
+    and ``stop`` index the block in the roots.  ``keys`` holds the keys
+    ``local_row * n + v`` of the block's roots v, which ``grow`` reads as
+    ``keys % n``, and ``expand(keys)`` returns the keys ``local_row * n +
+    w`` of every neighbour w of each key ``local_row * n + x``, in order,
+    with the run index of :func:`_gather_rows`: the position in ``keys`` of
+    the key that reached each one.  Keys are int32 (``g.indices`` is cast
     once per call) and a block holds at most ``POWER_INT32_KEYS // n``
     roots, so a key tagged in its low bit stays below 2**31; only when one
     root cannot fit (n > ``POWER_INT32_KEYS``) are they int64, with no row
@@ -354,7 +354,9 @@ def _root_blocks(g: Graph, grow, roots=None):
     dtype = np.int32 if max_rows else np.int64
     max_rows = max_rows or n
     roots = np.arange(n) if roots is None else np.asarray(roots, dtype=np.int64)
-    if roots.size and not 0 <= roots.min() <= roots.max() < n:
+    if not roots.size:
+        return
+    if not 0 <= roots.min() <= roots.max() < n:
         raise ValueError("roots must be vertices of g")
     indices = g.indices.astype(dtype)
     peak = 0
@@ -551,54 +553,49 @@ def _bit_power_blocks(g: Graph, r, roots=None):
     return _root_blocks(g, grow, roots)
 
 
-def power_table(g: Graph, r, edge_cap, roots=None):
-    """One pass of the power kernel: ``(degrees, power)``, on packed bit
-    rows when g is dense (:func:`_dense`), else on sorted keys.  A power
-    built on bit rows keeps them as its rows (:meth:`Graph.bit_rows`) and
-    unpacks its CSR ``indices`` only when they are read.
+def _power_kernel(g: Graph):
+    """The power kernel for g: on packed bit rows when it is dense."""
+    return _bit_power_blocks if _dense(g) else _power_blocks
+
+
+def power_table(g: Graph, r, edge_cap):
+    """One pass of the kernel of :func:`_power_kernel` over every vertex:
+    ``(degrees, power)``.  A power built on bit rows keeps them as its rows
+    (:meth:`Graph.bit_rows`) and unpacks its CSR ``indices`` only when read.
 
     ``degrees[k]`` holds the G^k degrees for k = 0..t, t = min(r, h + 1)
     with h the last hop that grew a ball (t = 0 when g has no edge), so
     radius s reads ``degrees[min(s, t)]``: a single edge at r = 5 gives rows
-    0..2.  ``power`` is G^r, built from the same blocks;
-    :class:`MemoryBudgetError` past ``edge_cap`` edges, as soon as the rows
-    built so far prove it.  With ``edge_cap`` None no row is kept and
-    ``power`` is None.
-
-    Given ``roots``, sorted vertices, the pass expands from those alone and
-    column i of ``degrees`` holds root i (ValueError on a root outside
-    [0, n)); ``edge_cap`` must then be None.
+    0..2.  Each block writes its columns as it arrives; one whose t passes
+    the table's first pads it down by its last row.  ``power`` is G^r, built
+    from the same blocks; :class:`MemoryBudgetError` past ``edge_cap``
+    edges, as soon as the rows built so far prove it.  With ``edge_cap``
+    None no row is kept and ``power`` is None.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     n = g.n
-    dense = _dense(g)
-    blocks, kept = [], []
-    half_edges = 0
-    for start, stop, (balls, sizes) in (_bit_power_blocks if dense
-                                        else _power_blocks)(g, r, roots):
-        blocks.append((start, stop, sizes))
+    kernel = _power_kernel(g)
+    dense = kernel is _bit_power_blocks
+    degrees = np.zeros((1, n), dtype=np.int64)
+    kept, half_edges = [], 0
+    for start, stop, (balls, sizes) in kernel(g, r):
+        if len(sizes) >= len(degrees):
+            degrees = np.pad(degrees, ((0, len(sizes) + 1 - len(degrees)), (0, 0)),
+                             mode="edge")
+        for k, size in enumerate(sizes, 1):  # radius k and the ones past it
+            degrees[k:, start:stop] = size - 1
         if edge_cap is not None:
-            if sizes:
-                half_edges += int(sizes[-1].sum()) - (stop - start)
+            half_edges += int(degrees[-1, start:stop].sum())
             if half_edges > 2 * edge_cap:
-                raise MemoryBudgetError(
-                    f"explicit power exceeds edge cap {edge_cap}")
+                raise MemoryBudgetError(f"explicit power exceeds edge cap {edge_cap}")
             if dense:
                 kept.append(balls)
             else:
                 col = balls % n
                 kept.append(col[col != balls // n + start])
-    # the rows run to the longest block's t, the columns to the last root
-    degrees = np.zeros((1 + max((len(sizes) for *_, sizes in blocks), default=0),
-                        blocks[-1][1] if blocks else 0), dtype=np.int64)
-    for start, stop, sizes in blocks:
-        for k, size in enumerate(sizes, 1):  # radius k and the ones past it
-            degrees[k:, start:stop] = size - 1
     if edge_cap is None:
         return degrees, None
-    if degrees.shape[1] != n:
-        raise ValueError("G^r needs the rows of every vertex")
     if dense:
         bits = np.concatenate(kept) if kept else np.empty((0, 0), dtype=np.uint64)
         return degrees, Graph._from_bit_rows(bits, degrees[-1])

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import (Graph, _dense, _gather_rows, _root_blocks, ball,
-                    first_copies, neighborhood_union, power_table)
+from .graph import (Graph, _dense, _gather_rows, _power_kernel, _root_blocks,
+                    ball, first_copies, neighborhood_union, power_table)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -106,9 +106,10 @@ def power_max_degrees(g: Graph, r) -> list:
     k - 1 knows and the G^k degree of the vertex with the largest bound,
     counted on its :func:`graph.ball`, each a G^k degree some vertex
     reaches.  A vertex whose bound passes what its radius knows is a
-    candidate, and one pass of :func:`graph.power_table` from the
-    candidates alone gives their exact degrees; no other vertex can pass
-    it, so Delta(G^k) is the larger of the two.  A radius past the last
+    candidate.  One scan of :func:`graph._power_kernel` from the candidates
+    alone keeps each block's largest ball at every radius (past its t, its
+    last), with no degree table; no other vertex can pass what its radius
+    knows, so Delta(G^k) is the larger of the two.  A radius past the last
     bound row has that row's bounds and takes what that row knows.
     """
     if r < 1:
@@ -116,17 +117,17 @@ def power_max_degrees(g: Graph, r) -> list:
     if not g.m:
         return [0] * r
     bounds = _walk_bounds(g, r)
-    known = [0, int(bounds[0].max())]  # by radius, as the table's rows
+    known = [0, int(bounds[0].max())]  # by radius
     hot = np.zeros(g.n, dtype=bool)
     for k, bound in enumerate(bounds[1:], 2):
         seed = int(bound.argmax())
         known.append(max(known[-1], len(ball(g, seed, k)) - 1))
         hot |= bound > known[-1]
-    table = power_table(g, r, None, np.flatnonzero(hot))[0]
-    found = table.max(axis=1, initial=0).tolist()
-    # a radius past the last row of either reads that row
-    return [max(known[min(k, len(known) - 1)], found[min(k, len(found) - 1)])
-            for k in range(1, r + 1)]
+    found = np.array(known + known[-1:] * (r + 1 - len(known)))
+    for *_, (_, sizes) in _power_kernel(g)(g, r, np.flatnonzero(hot)):
+        for k, size in enumerate(sizes, 1):  # radius k and the ones past it
+            np.maximum(found[k:], size.max() - 1, out=found[k:])
+    return found[1:].tolist()
 
 
 def high_degree_set(degrees, r, threshold) -> list:
@@ -314,9 +315,9 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
     h = t // 2
     hit = np.zeros(n, dtype=bool)
 
-    def grow(roots, expand):
-        found = np.zeros(roots.size, dtype=bool)
-        prev, (front, _) = roots, expand(roots)
+    def grow(layer0, expand):
+        found = np.zeros(layer0.size, dtype=bool)
+        prev, (front, _) = layer0, expand(layer0)
         label = front % n
         for k in range(1, (t + 1) // 2):
             if not front.size:
@@ -338,7 +339,7 @@ def vertices_on_short_cycles(g: Graph, t) -> set:
             first = first_copies(key)
             # a new vertex reached from two branches: length 2k + 2
             found[key[~first] // n] = True
-            prev, front = front, key[first].astype(roots.dtype)
+            prev, front = front, key[first].astype(layer0.dtype)
             label = pair[first] - key[first] * n
         return found
 
@@ -384,10 +385,10 @@ def codegree_max(g: Graph, r):
         first = np.flatnonzero(first_copies(keys))
         return keys[first], np.diff(first, append=keys.size)
 
-    def grow(roots, expand):
-        own = roots % n
+    def grow(layer0, expand):
+        own = layer0 % n
         layer_best = power_best = 0
-        prev, (front, _) = roots, expand(roots)
+        prev, (front, _) = layer0, expand(layer0)
         layers, into = [], []
         for _ in range(r):
             if not front.size:

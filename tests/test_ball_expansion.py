@@ -120,38 +120,39 @@ def rooted_graphs(draw):
     return g, list(range(g.n)) if kind == "every" else []
 
 
+def kernel(dense):
+    return graph._bit_power_blocks if dense else graph._power_blocks
+
+
 @settings(max_examples=150, deadline=None)
 @given(rooted_graphs(), st.integers(1, 4), st.booleans(), LAYOUTS)
 def test_table_from_roots_is_the_full_tables_columns(case, r, dense, lay):
-    """``power_table`` from given roots, on either kernel and in blocks of
-    a few keys, holds the full table's columns at those roots at every
-    radius (each table ends at its own last growing hop)."""
+    """Either power kernel from given roots, in blocks of a few keys, holds
+    the columns of the full table at those roots at every radius: a block's
+    radius past its own last growing hop reads its last ball sizes, as a
+    radius past the table's last row reads that row."""
     g, roots = case
     with pytest.MonkeyPatch.context() as mp:
         layout(mp, g, *lay)
         mp.setattr(graph, "_dense", lambda g: dense)
         full = power_table(g, r, None)[0]
-        part = power_table(g, r, None, np.array(roots, dtype=np.int64))[0]
-    assert part.shape[1] == len(roots)
-    for s in range(r + 1):
-        assert (part[min(s, len(part) - 1)]
-                == full[min(s, len(full) - 1)][roots]).all()
+        blocks = list(kernel(dense)(g, r, np.array(roots, dtype=np.int64)))
+    ends = [0] + [stop for _, stop, _ in blocks]
+    assert [start for start, *_ in blocks] == ends[:-1] and ends[-1] == len(roots)
+    for start, stop, (_, sizes) in blocks:
+        for s in range(r + 1):
+            part = sizes[min(s, len(sizes)) - 1] - 1 if s and sizes else 0
+            assert (part == full[min(s, len(full) - 1)][roots[start:stop]]).all()
 
 
 @pytest.mark.parametrize("root", [-45, -1, 50, 55])
 @pytest.mark.parametrize("dense", [False, True])
 def test_table_refuses_roots_outside_the_graph(root, dense):
+    """A kernel is a generator: it refuses at its first block."""
     g = gnp_sample(50, 0.1, RandomSource(3))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_dense", lambda g: dense)
-        with pytest.raises(ValueError, match="vertices of g"):
-            power_table(g, 2, None, [0, root] if root > 0 else [root, 0])
-
-
-def test_power_refuses_roots_short_of_every_vertex():
-    g = gnp_sample(50, 0.1, RandomSource(3))
-    with pytest.raises(ValueError, match="every vertex"):
-        power_table(g, 2, graph.DEFAULT_EDGE_CAP, [1, 2])
+    blocks = kernel(dense)(g, 2, [0, root] if root > 0 else [root, 0])
+    with pytest.raises(ValueError, match="vertices of g"):
+        next(blocks)
 
 
 @SETTINGS

@@ -3,7 +3,8 @@
 ``reference_induced_subgraph`` is the earlier implementation, kept verbatim
 apart from its name: it walks the sorted vertex set and reads each
 neighbour's new index one numpy scalar at a time.  The current function
-relabels the whole edge array at once and must give the same CSR arrays,
+reads the rows of the vertex set by one row gather and relabels them
+through one label array, and must give the same CSR arrays,
 for vertex sets with duplicates, empty and full ones.  The reference's index
 map is not compared: the current function returns the graph alone, in which
 a vertex's new index is its rank in sorted(s), as in that map.

@@ -14,9 +14,10 @@ walk fails here rather than in a profile.  The dense predicate and the
 packed bit rows are read by a pinned list of functions too, so a third
 dense fork fails here.  The constants that size a
 block of ball expansions are read by the one block driver alone, so a
-second block loop fails here, and only the driver tells every vertex from
-given roots.  No code branches on an experiment kind by
-name, since each kind is one row of the experiments table.  Every
+second block loop fails here; only ``_root_blocks`` tells every vertex
+from given roots, and only it and the two power kernels take roots at
+all.  No code branches on an experiment kind by name, since each kind is
+one row of the experiments table.  Every
 function the benchmark's tracer wraps still exists, so a renamed one
 fails here rather than in a traced benchmark run.  The package loads its
 exports lazily, so every name in ``__all__`` is read here: a renamed or
@@ -180,7 +181,7 @@ def test_adjacency_lists_callers_are_pinned():
 # every graph as Python ints (metrics.py:_adjacency_bitsets), which is the
 # one packer's output and not a dense fork
 DENSE_CALLERS = {
-    "_dense": ["coloring.py:_greedy_fill", "graph.py:power_table",
+    "_dense": ["coloring.py:_greedy_fill", "graph.py:_power_kernel",
                "metrics.py:greedy_independent_set"],
     "_bit_rows": ["graph.py:bit_rows"],
     "bit_rows": ["coloring.py:_greedy_fill", "graph.py:_bit_power_blocks",
@@ -233,6 +234,22 @@ def test_roots_are_told_from_every_vertex_by_the_driver_alone():
                    for owner in owners(ast.parse(path.read_text(), str(path)),
                                        roots_against_none))
     assert found == ["graph.py:_root_blocks"]
+
+
+# only _root_blocks and the two power kernels take given roots: every
+# other pass runs over every vertex, so a function that grows a roots
+# parameter of its own (a second roots mode) fails here
+ROOTS_TAKERS = ["graph.py:_bit_power_blocks", "graph.py:_power_blocks",
+                "graph.py:_root_blocks"]
+
+
+def test_roots_parameters_are_pinned():
+    found = sorted(f"{path.name}:{owner}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for owner in owners(ast.parse(path.read_text(), str(path)),
+                                       lambda node: isinstance(node, ast.arg)
+                                       and node.arg == "roots"))
+    assert found == ROOTS_TAKERS
 
 
 def test_tracer_sites_resolve_on_the_package():
