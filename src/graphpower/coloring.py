@@ -1,8 +1,9 @@
 """Proper colorings of graph powers.
 
-Greedy on the rows of an explicit power (one loop serves both G^r and any
-explicit graph: over the CSR rows, or over the packed bit rows of a dense
-graph, with one bitset per color), exact chromatic number via DSATUR
+Greedy on the rows of an explicit power (one function serves both G^r and
+any explicit graph: a loop over the CSR rows, or on a dense graph a scan
+that fills one color class at a time on its bit rows read as Python ints),
+exact chromatic number via DSATUR
 branch-and-bound on an explicit graph, the constructive two-phase coloring
 that achieves Delta(G^{r-1}) + 1 colors when the high-degree subgraph is a
 forest, and the verifier, both on the power one kernel pass builds.
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, ForestViolationError, GraphPowerError
-from .graph import (Graph, _dense, graph_power, induced_subgraph, is_forest,
-                    neighborhood_union)
+from .graph import (Graph, _bit_ints, _dense, graph_power, induced_subgraph,
+                    is_forest, neighborhood_union)
 from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
                       power_max_degree)
 
@@ -28,7 +29,7 @@ from .metrics import (DEFAULT_NODE_BUDGET, high_degree_set, max_clique_exact,
 # the larger and whose cost per entry the smaller.  Greedy of G(2000, 2/n)^2,
 # rows of about 6: 3.7 ms, 8.8 with bincount alone (best of 7, 2-core Xeon,
 # numpy 2.4).  Dense graphs, such as G(1000, 30/n)^2 with rows of about
-# 600, take the bitset loop of _greedy_fill instead
+# 600, take the color-class scan of _greedy_fill instead
 SHORT_ROW = 64
 
 
@@ -53,37 +54,84 @@ def _mex(used):
     return c
 
 
+def _ranked_bits(rows, order):
+    """Packed rows relabelled by rank: bit i of each row is the bit of the
+    vertex ``order[i]``, by one unpack, gather and pack.  The unpacking
+    appends a zero column, which pads each gathered row to whole bytes, so
+    the pack runs on the flat array (about 4x faster than along axis 1)."""
+    width = rows.shape[1] * 64
+    flat = np.unpackbits(rows.view(np.uint8), axis=1, count=width + 1,
+                         bitorder="little")
+    pick = np.full(-(-order.size // 8) * 8, width)
+    pick[:order.size] = order
+    return np.packbits(np.take(flat, pick, axis=1),
+                       bitorder="little").reshape(len(rows), -1)
+
+
 def _greedy_fill(gp: Graph, order, colors):
     """Give each vertex of ``order`` in turn the smallest color absent from
     its row of the explicit graph ``gp``; ``colors`` is an int64 array in
     which uncolored vertices hold -1, and ``order`` lists uncolored
     vertices.
 
-    On a dense graph (:func:`graph._dense`) each color keeps one bitset,
-    the OR of the packed closed rows of its vertices (those colored before
-    the call first): color c is absent from the row of v exactly when bit v
-    of its bitset is clear, so v takes the first such color and ORs its row
-    into that bitset.  Otherwise, a CSR row shorter than ``SHORT_ROW``
-    takes :func:`_mex` of its colors as a set, and a longer one the first
-    zero of the counts of its colors shifted by one, so that uncolored
-    neighbours land in the dropped slot 0.  All three give the same color.
+    On a dense graph (:func:`graph._dense`) the colors are filled one class
+    at a time.  Class c is the precolored vertices of color c and the
+    lexicographically first maximal independent set, in ``order``, of the
+    vertices that no earlier class took and that no precolored vertex of
+    color c neighbours.  That is the class first-fit gives c.  By induction
+    on c: let classes 0..c-1 agree, and let v be a vertex of ``order``
+    outside them.  First-fit gives v the color c exactly when no neighbour
+    colored before v has c.  Those neighbours are the precolored vertices
+    of color c and the members of class c that come before v in
+    ``order``, which are the members the scan has added when it reaches
+    v; so the scan adds v exactly when first-fit colors it c.  Precolored
+    vertices enter only through the rows of their own color's class, so
+    this holds whatever their colors, with gaps or above every color the
+    scan reaches.
+
+    The closed rows of A + I (:meth:`Graph.bit_rows`) are read as Python
+    ints (:func:`graph._bit_ints`).  A class takes the lowest bit of its
+    candidates, drops it from the vertices left and clears that vertex's
+    row from the candidates: one step per vertex and one per class, with
+    no numpy call per vertex.  An increasing ``order`` scans the vertices'
+    own bits; any other first relabels the bits by rank
+    (:func:`_ranked_bits`) on only the rows the scan reads.
+
+    Otherwise, a CSR row shorter than ``SHORT_ROW`` takes :func:`_mex` of
+    its colors as a set, and a longer one the first zero of the counts of
+    its colors shifted by one, so that uncolored neighbours land in the
+    dropped slot 0.  All three give the same color.
     """
     if _dense(gp):
-        rows = gp.bit_rows()
-        used = int(colors.max(initial=-1)) + 1
-        # a new color is taken only when every used one is blocked by a
-        # neighbour, so none passes max(used, Delta + 1); one zero row more
-        # ends every scan
-        palette = np.zeros((max(used, int(gp.degrees().max(initial=0)) + 1) + 1,
-                            rows.shape[1]), dtype=np.uint64)
+        order = np.asarray(order, dtype=np.int64)
         done = np.flatnonzero(colors >= 0)
-        np.bitwise_or.at(palette, colors[done], rows[done])
-        marks = palette.view(np.uint8)  # bit v & 7 of byte v >> 3 is vertex v
-        for v in order:
-            c = int((marks[:used + 1, v >> 3] & (1 << (v & 7))).argmin())
-            colors[v] = c
-            palette[c] |= rows[v]
-            used = max(used, c + 1)
+        rows = gp.bit_rows()[np.concatenate([order, done])]
+        if np.all(order[1:] > order[:-1]):  # bit v is vertex v
+            ints = _bit_ints(rows)
+            own, bits, vertex = (dict(zip(order.tolist(), ints)), order,
+                                 np.arange(gp.n))
+        else:  # bit i is vertex order[i]
+            ints = _bit_ints(_ranked_bits(rows, order))
+            own, bits, vertex = ints, np.arange(order.size), order
+        blocked = {}
+        for c, row in zip(colors[done].tolist(), ints[order.size:]):
+            blocked[c] = blocked.get(c, 0) | row
+        left = np.zeros(gp.n, dtype=bool)
+        left[bits] = True
+        left = _bit_ints(np.packbits(left, bitorder="little")[None])[0]
+        taken, ends = [], []
+        while left:
+            cand = left & ~blocked.get(len(ends), 0)
+            while cand:
+                low = cand & -cand
+                v = low.bit_length() - 1
+                taken.append(v)
+                left ^= low
+                cand &= ~own[v]
+            ends.append(len(taken))
+        taken = np.array(taken, dtype=np.int64)
+        colors[vertex[taken]] = np.repeat(np.arange(len(ends)),
+                                          np.diff([0] + ends))
         return
     indptr, indices = gp.indptr.tolist(), gp.indices
     for v in order:

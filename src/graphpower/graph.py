@@ -505,6 +505,12 @@ def _bit_vertices(bits, start=None):
     return np.flatnonzero(flat) - np.repeat(offsets, counts)
 
 
+def _bit_ints(bits):
+    """Packed rows as Python ints, each row's bytes read little-endian, so
+    bit v of a row's int is bit v of the row as :func:`_bit_rows` packs it."""
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
 def _bit_power_blocks(g: Graph, r, roots=None):
     """The rows of (A+I)^r on packed bit rows, a block at a time: yields
     (start, stop, (balls, sizes)), ``balls`` the block's rows as
@@ -519,14 +525,15 @@ def _bit_power_blocks(g: Graph, r, roots=None):
     from the roots' CSR rows by :func:`_gather_rows`; each later layer is
     unpacked from the bits a hop added.  A block charges the driver's
     budget, in words, with its rows unpacked at one byte per vertex and
-    with the rows each hop gathers.
+    with the rows each hop gathers.  The rows of A + I are packed when the
+    first block runs, so a scan with no root packs none.
     """
     n = g.n
-    closed = g.bit_rows()
-    words = closed.shape[1]
     indptr, indices = g.indptr, g.indices
 
     def grow(keys, expand):
+        closed = g.bit_rows()
+        words = closed.shape[1]
         expand.charge(8 * words * keys.size)
         own = keys % n
         balls = closed[own]

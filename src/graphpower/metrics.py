@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graph import (Graph, _dense, _gather_rows, _power_kernel, _root_blocks,
-                    ball, first_copies, neighborhood_union, power_table)
+from .graph import (Graph, _bit_ints, _dense, _gather_rows, _power_kernel,
+                    _root_blocks, ball, first_copies, neighborhood_union,
+                    power_table)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -153,10 +154,9 @@ def clique_lower_bound(degrees, r) -> int:
 
 def _adjacency_bitsets(g: Graph):
     """The rows of A as Python ints, bit w of row v set when v ~ w: the
-    cached bit rows of A + I (:meth:`Graph.bit_rows`) read as little-endian
-    bytes, each less its own vertex's bit."""
-    return [int.from_bytes(row.tobytes(), "little") ^ (1 << v)
-            for v, row in enumerate(g.bit_rows())]
+    cached bit rows of A + I (:meth:`Graph.bit_rows`) read by
+    :func:`graph._bit_ints`, each less its own vertex's bit."""
+    return [row ^ (1 << v) for v, row in enumerate(_bit_ints(g.bit_rows()))]
 
 
 def _max_clique_bitset(n, adjbits, node_budget):

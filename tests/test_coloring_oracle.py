@@ -10,8 +10,8 @@ same coloring for every order.
 The greedy and two-phase colorings of G^r ran one truncated BFS per vertex
 before they moved onto the rows of an explicit power; those walks are
 frozen in ``walk_oracle``.  Each case runs on the CSR rows with
-``SHORT_ROW`` at 0 and above n, and on the bit rows of the dense branch,
-so every row takes each of the three ways to the smallest absent color.
+``SHORT_ROW`` at 0 and above n, and on the color-class scan of the dense
+branch, so every vertex takes each of the three ways to its color.
 """
 
 import pytest
@@ -95,7 +95,7 @@ def graphs(draw):
 
 def on_every_branch(g, color):
     """``color()`` with every CSR row taking the set, then the bincount,
-    then with every graph on the bitsets of the dense branch."""
+    then with every graph on the color-class scan of the dense branch."""
     out = []
     for dense, short_row in ((False, g.n + 1), (False, 0), (True, 0)):
         with pytest.MonkeyPatch.context() as mp:

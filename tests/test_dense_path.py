@@ -6,7 +6,10 @@ derives its CSR only when it is read.
 Both paths are run on the same graphs, with the predicate forced each way:
 the degree tables, the powers, the edge-cap refusals, the colorings and
 the independent sets must be identical, and so must every view of a power
-built on bit rows and of its CSR-built twin.  The bit-row kernel charges
+built on bit rows and of its CSR-built twin.  The greedy's edge cases (word
+edges, K_n, an edgeless graph, precolorings with gaps or high colors) are
+checked against networkx too, and only an order that is not increasing
+relabels the bits.  The bit-row kernel charges
 the block driver's budget, a dense-chi trial neither unpacks its power nor
 packs it again, and the two dense inputs the sort kernel was slow on
 finish within a wall-clock bound.
@@ -34,6 +37,7 @@ from graphpower.rng import RandomSource
 
 from power_oracle import scipy_power
 from record_oracle import oracle_trial
+from test_graph import complete_graph
 from test_independent_set_oracle import reference_independent_set
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -201,30 +205,120 @@ def test_dense_cube_degrees_finish():
 @settings(max_examples=150, deadline=None)
 @given(sparse_and_dense_graphs(), st.integers(1, 3), st.data())
 def test_both_paths_give_the_same_greedy_coloring(g, r, data):
-    """The bitset loop gives each vertex the color the CSR loop gives it,
-    for a random order, and after a partial greedy precoloring filled in
-    index order as the two-phase coloring does; with the whole order it
+    """The color-class scan gives each vertex the color the CSR loop gives
+    it, for a random order, and after a partial greedy precoloring filled
+    in index order as the two-phase coloring does; with the whole order it
     equals networkx's greedy coloring in the same order."""
     gp = graph_power(g, r) if r > 1 else g
     order = data.draw(st.permutations(range(gp.n)))
     first = order[:data.draw(st.integers(0, gp.n))]
     rest = sorted(set(range(gp.n)) - set(first))
-
-    def fill(*orders):
-        colors = np.full(gp.n, -1, dtype=np.int64)
-        for part in orders:
-            coloring._greedy_fill(gp, part, colors)
-        return colors.tolist()
-
     for orders in ((order,), (first, rest)):
-        csr, bits = on_each_path(lambda: fill(*orders), False)
+        csr, bits = on_each_path(lambda: filled(gp, *orders), False)
         assert csr == bits
         assert min(bits, default=0) >= 0
+    assert filled(gp, order) == networkx_first_fit(gp, order)
+
+
+def filled(gp, *orders, colors=None):
+    """``coloring._greedy_fill`` over each order in turn, from ``colors``
+    (a dict of precolored vertices), as a list."""
+    colors = colors or {}
+    out = np.full(gp.n, -1, dtype=np.int64)
+    out[list(colors)] = list(colors.values())
+    for part in orders:
+        coloring._greedy_fill(gp, part, out)
+    return out.tolist()
+
+
+def networkx_first_fit(gp, order, colors=None):
+    """First fit in ``order`` on the networkx rebuild of ``gp``: networkx's
+    ``greedy_color`` when nothing is precolored, else the smallest color
+    absent from each vertex's neighbours there, from ``colors``."""
     h = nx.Graph()
     h.add_nodes_from(range(gp.n))
     h.add_edges_from(gp.edge_array().tolist())
-    want = nx.greedy_color(h, strategy=lambda h, colors: iter(order))
-    assert fill(order) == [want[v] for v in range(gp.n)]
+    if not colors:
+        want = nx.greedy_color(h, strategy=lambda h, colors: iter(order))
+        return [want[v] for v in range(gp.n)]
+    out = [colors.get(v, -1) for v in range(gp.n)]
+    for v in order:
+        used = {out[w] for w in h[v]}
+        out[v] = min(set(range(len(used) + 1)) - used)
+    return out
+
+
+def fill_every_way(g, colors=None):
+    """The colors the uncolored vertices take in increasing, decreasing and
+    shuffled order, once the dense scan, the CSR loop and networkx's first
+    fit are seen to agree on each order."""
+    colors = colors or {}
+    rest = [v for v in range(g.n) if v not in colors]
+    shuffled = np.random.default_rng(g.n).permutation(rest).tolist()
+    out = []
+    for order in (rest, rest[::-1], shuffled):
+        csr, bits = on_each_path(lambda: filled(g, order, colors=colors), False)
+        assert csr == bits == networkx_first_fit(g, order, colors)
+        out += [bits[v] for v in rest]
+    return out
+
+
+@pytest.mark.parametrize("g, palette", [
+    *[pytest.param(gnp_sample(n, 0.3, RandomSource(n)), None, id=f"gnp-{n}")
+      for n in (0, 1, 63, 64, 65)],
+    *[pytest.param(complete_graph(n), n, id=f"K-{n}") for n in (1, 64, 65)],
+    *[pytest.param(graph.Graph.from_edges(n, []), 1, id=f"edgeless-{n}")
+      for n in (1, 64, 65)]])
+def test_dense_greedy_edge_cases(g, palette):
+    """Word edges at n = 63, 64, 65; K_n takes n colors, and an edgeless
+    graph, dense only when forced, one."""
+    got = fill_every_way(g)
+    assert palette is None or max(got) + 1 == palette
+
+
+@pytest.mark.parametrize("colors", [{0: 0, 9: 3, 40: 3, 64: 0},
+                                    {5: 70, 64: 1000}], ids=["gap", "above"])
+def test_dense_greedy_from_a_precoloring(colors):
+    """Precolored colors with a gap, and above every color the scan
+    reaches: the gap is filled, and no scan reaches the high colors."""
+    got = fill_every_way(gnp_sample(65, 0.3, RandomSource(3)), colors)
+    assert {1, 2} <= set(got) and max(got) < 70
+
+
+@pytest.mark.parametrize("n, size", [(8, 8), (63, 5), (64, 64), (65, 17),
+                                     (130, 129)])
+def test_ranked_bits_number_the_order(n, size):
+    """Bit i of a relabelled row is set exactly when the row holds the
+    vertex order[i], and no bit past the order is set."""
+    g = gnp_sample(n, 0.4, RandomSource(n))
+    order = np.random.default_rng(size).permutation(n)[:size]
+    rows = g.bit_rows()[order]
+    got = graph._bit_ints(coloring._ranked_bits(rows, order))
+    held = [set(g.neighbors(v).tolist()) | {int(v)} for v in order]
+    assert got == [sum(1 << i for i, w in enumerate(order.tolist()) if w in row)
+                   for row in held]
+
+
+def test_an_increasing_order_is_not_relabelled():
+    """The dense greedy relabels the bits by rank only for an order that
+    is not increasing: the whole range, a subset and the two-phase
+    coloring's phase 2 scan the vertices' own bits."""
+    gp = graph_power(gnp_sample(200, 0.05, RandomSource(1)), 2)
+    calls, real = [], coloring._ranked_bits
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp, True)
+        mp.setattr(coloring, "_ranked_bits", counted)
+        filled(gp, range(gp.n))
+        filled(gp, [3, 9, 150])
+        filled(gp, list(range(100, 200)), colors={5: 1, 7: 0})
+        assert not calls
+        filled(gp, [9, 3], list(range(10, 200)))
+        assert len(calls) == 1 and len(calls[0][0]) == 2
 
 
 def counting(mp, name):

@@ -157,6 +157,14 @@ class TestPowerMaxDegrees:
         roots, balls = self.expanded(gnp_sample(10 ** 4, 2e-4, RandomSource(1)), 2)
         assert len(roots) <= 3 and balls == 1
 
+    def test_no_candidate_packs_no_bit_rows(self):
+        """On K_300 no vertex can pass what the walk bounds already prove,
+        so no block runs and the dense graph's bit rows stay unpacked."""
+        g = gnp_sample(300, 1.0, RandomSource(1))
+        assert power_max_degrees(g, 2) == [299, 299]
+        assert graph._dense(g) and g._bits is None
+        assert self.expanded(g, 2)[0] == []
+
 
 class TestHighDegreeSet:
     def test_star_square_all_equal(self):

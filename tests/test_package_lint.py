@@ -12,7 +12,8 @@ calls.  Adjacency lists
 are built only from a pinned list of functions, so a new per-vertex Python
 walk fails here rather than in a profile.  The dense predicate and the
 packed bit rows are read by a pinned list of functions too, so a third
-dense fork fails here.  The constants that size a
+dense fork fails here, and one helper alone reads them as Python ints.
+The constants that size a
 block of ball expansions are read by the one block driver alone, so a
 second block loop fails here; only ``_root_blocks`` tells every vertex
 from given roots, and only it and the two power kernels take roots at
@@ -179,12 +180,13 @@ def test_adjacency_lists_callers_are_pinned():
 # when the graph is dense, and only the cache packs them.  A call added
 # here is another dense fork.  The clique search reads the bit rows of
 # every graph as Python ints (metrics.py:_adjacency_bitsets), which is the
-# one packer's output and not a dense fork
+# one packer's output and not a dense fork.  The bit-row kernel reads them
+# in its grow (graph.py:grow), so a scan with no root packs none
 DENSE_CALLERS = {
     "_dense": ["coloring.py:_greedy_fill", "graph.py:_power_kernel",
                "metrics.py:greedy_independent_set"],
     "_bit_rows": ["graph.py:bit_rows"],
-    "bit_rows": ["coloring.py:_greedy_fill", "graph.py:_bit_power_blocks",
+    "bit_rows": ["coloring.py:_greedy_fill", "graph.py:grow",
                  "metrics.py:_adjacency_bitsets",
                  "metrics.py:greedy_independent_set"],
 }
@@ -197,6 +199,17 @@ def test_dense_callers_are_pinned(callee):
                    for owner in calls_by_function(
                        ast.parse(path.read_text(), str(path)), callee))
     assert found == DENSE_CALLERS[callee]
+
+
+# every call of int.from_bytes in the package: packed rows become Python
+# ints in one helper, which the clique search and the dense greedy share,
+# so a second reading of the bytes, with its own byte order, fails here
+def test_int_from_bytes_callers_are_pinned():
+    found = sorted(f"{path.name}:{owner}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for owner in calls_by_function(
+                       ast.parse(path.read_text(), str(path)), "from_bytes"))
+    assert found == ["graph.py:_bit_ints"]
 
 
 # the constants that size a block of ball expansions, read by the one
