@@ -650,7 +650,9 @@ def induced_subgraph(g: Graph, s):
     relabelled through one index array (-1 outside s), which keeps their
     order, so the entries kept are the CSR of the subgraph as they stand.
     """
-    s = np.array(sorted(set(s)), dtype=np.int64)
+    s = np.sort(np.asarray(s if isinstance(s, np.ndarray) else list(s),
+                           dtype=np.int64))
+    s = s[first_copies(s)]
     label = np.full(g.n, -1, dtype=np.int64)
     label[s] = np.arange(s.size)
     lo = g.indptr[s]

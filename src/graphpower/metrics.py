@@ -1,8 +1,11 @@
 """Degree, clique, independence, co-degree and cycle-proximity statistics
 of G and its powers, computed implicitly whenever possible: ball expansions
 from every root, run on the one block driver of :mod:`graphpower.graph`,
-count the degrees (the (A+I)^r kernel) and find the co-degrees and the
-short cycles.  A max degree with its argmax, high-degree sets and the
+count the degrees (the (A+I)^r kernel) and find the co-degrees and, on the
+graph left by at most t // 2 rounds of leaf removal, the short cycles.
+Those two tell the layer of each key a hop reaches by one sort with the
+keys of the last layers tagged apart, as the power kernel does, and never
+by a binary search.  A max degree with its argmax, high-degree sets and the
 clique lower bound are reads of the degree table of one
 :func:`graph.power_table` pass.  The maxima alone, which a
 delta-concentration trial records, come from non-backtracking walk bounds
@@ -22,8 +25,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .graph import (Graph, _bit_ints, _dense, _gather_rows, _power_kernel,
-                    _root_blocks, ball, first_copies, neighborhood_union,
-                    power_table)
+                    _root_blocks, ball, first_copies, induced_subgraph,
+                    neighborhood_union, power_table)
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_CYCLE_LENGTH_CAP = 16
@@ -287,65 +290,117 @@ def greedy_independent_set(g: Graph) -> list:
 # -- cycle proximity -------------------------------------------------------
 
 
-def _in_sorted(keys, table):
-    """Mask of the keys found in the sorted, nonempty array ``table``."""
-    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
-    return table[at] == keys
+def _peel_leaves(g: Graph, rounds):
+    """The sorted vertices left after at most ``rounds`` rounds that each
+    remove every vertex of degree <= 1 in what is left.
+
+    A vertex on a cycle keeps two neighbours on it and is never removed,
+    so the graph left has the cycles of g, whatever the number of rounds
+    (all of them leave its 2-core: Batagelj & Zaversnik, arXiv cs/0310049).
+    Each round gathers the rows of the vertices it removes and takes their
+    edges off the degrees by one bincount.
+    """
+    deg = g.degrees().copy()
+    alive = np.ones(g.n, dtype=bool)
+    leaves = np.flatnonzero(deg <= 1)
+    for _ in range(rounds):
+        if not leaves.size:
+            break
+        alive[leaves] = False
+        lo = g.indptr[leaves]
+        reached, _ = _gather_rows(g.indices, lo, g.indptr[leaves + 1] - lo)
+        deg -= np.bincount(reached, minlength=g.n)
+        leaves = np.flatnonzero(alive & (deg <= 1))
+    return np.flatnonzero(alive)
 
 
 def vertices_on_short_cycles(g: Graph, t) -> set:
     """All vertices lying on some cycle of length <= t.
 
-    A BFS from every root at once, to depth h = t // 2, finds the shortest
-    cycle through each root (Itai & Rodeh, SIAM J. Comput. 7(4), 1978).
-    Each reached vertex carries a branch label, the depth-1 vertex it
-    descends from (the smallest one when several parents reach it, which
-    is still a BFS tree).  Root v lies on a cycle of length <= t exactly
-    when a new vertex at depth k + 1 <= h is reached from two labels (a
-    cycle of length 2k + 2), or an edge joins two depth-k vertices of
-    different labels with 2k + 1 <= t: their tree paths share only v, and
-    along any cycle of length L <= t through v the label changes on an
-    edge with both ends within L // 2 of v.  Runs on the block driver of
-    :mod:`graphpower.graph`; only the last two layers are held, since a
-    neighbour of depth k lies at depth k - 1, k or k + 1.
+    First removes the vertices of degree <= 1, round by round, for at
+    most h = t // 2 rounds (:func:`_peel_leaves`): no cycle loses a
+    vertex, and the cap keeps a long path from costing more rounds than
+    the search.  Then a BFS from every root of the subgraph induced by
+    the vertices left, at once, to depth h, finds the shortest cycle
+    through each root (Itai & Rodeh, SIAM J. Comput. 7(4), 1978).  Each
+    reached vertex carries a branch label, the depth-1 vertex it descends
+    from (the smallest one when several parents reach it, which is still
+    a BFS tree).  Root v lies on a cycle of length <= t exactly when a new
+    vertex at depth k + 1 <= h is reached from two labels (a cycle of
+    length 2k + 2), or an edge joins two depth-k vertices of different
+    labels with 2k + 1 <= t: their tree paths share only v, and along any
+    cycle of length L <= t through v the label changes on an edge with
+    both ends within L // 2 of v.
+
+    Runs on the block driver of :mod:`graphpower.graph`; only the last two
+    layers are held, since a neighbour of depth k lies at depth k - 1, k
+    or k + 1.  A hop tells which by one sort of int64 keys that pack
+    (key, tag, label): tag 0 for the keys of depth k - 1, 1 for those of
+    depth k with their labels, 2 for the reached keys with their parents'
+    labels.  A key's first copy then tells its depth and its least label,
+    and its last copy the greatest label that reached it.  The packed
+    keys are below 8 rows n**2 for a block of rows roots; with int32 keys
+    (rows n <= 2**30), below 2**62.
     """
     if t < 3:
         return set()
-    n = g.n
     h = t // 2
+    core = _peel_leaves(g, h)
+    sub = induced_subgraph(g, core)
+    n = sub.n
+    bits = max(n - 1, 1).bit_length()  # of a label
+    shift = bits + 2  # past a tag and a label
+    labels = (1 << bits) - 1
     hit = np.zeros(n, dtype=bool)
 
     def grow(layer0, expand):
         found = np.zeros(layer0.size, dtype=bool)
         prev, (front, _) = layer0, expand(layer0)
-        label = front % n
+        # the tag and label of each key of depth k, its packed low bits
+        low = (front % n).astype(np.int64)
+        low |= 1 << bits
         for k in range(1, (t + 1) // 2):
             if not front.size:
                 break
             reached, run = expand(front)
-            parent_label = label[run]
-            at = np.minimum(np.searchsorted(front, reached), front.size - 1)
-            level = front[at] == reached
-            # an edge inside depth k across two branches: length 2k + 1
-            found[reached[level & (label[at] != parent_label)] // n] = True
+            # depth k - 1 is needed only to tell depth k + 1
+            packed = np.concatenate([front, reached] if k == h else
+                                    [prev, front, reached], dtype=np.int64)
+            packed <<= shift
+            at = packed.size - reached.size
+            packed[at - front.size:at] |= low
+            low = low[run]
+            low += 1 << bits
+            packed[at:] |= low
+            packed.sort()
+            head = np.flatnonzero(first_copies(packed >> shift))
+            first = packed[head]
+            tag = first >> bits
+            tag &= 3
+            new = tag == 2
+            size = np.diff(head, append=packed.size)
+            # the last copy of a key holds the greatest label reaching it:
+            # past the least one, two branches reach a new key (a cycle
+            # of length 2k + 2, counted below depth h), and past its own
+            # label, an edge inside depth k joins two (length 2k + 1),
+            # seen at least at its end of lesser label; a key of depth
+            # k - 1 (tag 0) is neither
+            size[tag == 0 if k < h else new] = 0
+            check = np.flatnonzero(size > 1)
+            last = packed[head[check] + size[check] - 1]
+            cross = (last ^ first[check]) & labels != 0
+            found[(first[check[cross]] >> shift) // n] = True
             if k == h:
                 break
-            new = ~level & ~_in_sorted(reached, prev)
-            # the distinct (vertex, label) pairs of depth k + 1, sorted
-            pair = reached[new] * np.int64(n) + parent_label[new]
-            pair.sort()
-            pair = pair[first_copies(pair)]
-            key = pair // n
-            first = first_copies(key)
-            # a new vertex reached from two branches: length 2k + 2
-            found[key[~first] // n] = True
-            prev, front = front, key[first].astype(layer0.dtype)
-            label = pair[first] - key[first] * n
+            first = first[new]
+            prev, front = front, (first >> shift).astype(layer0.dtype)
+            low = first & labels
+            low |= 1 << bits
         return found
 
-    for start, stop, found in _root_blocks(g, grow):
+    for start, stop, found in _root_blocks(sub, grow):
         hit[start:stop] = found
-    return set(np.flatnonzero(hit).tolist())
+    return set(core[hit].tolist())
 
 
 def short_cycle_proximity(g: Graph, s, t) -> int:
@@ -354,6 +409,8 @@ def short_cycle_proximity(g: Graph, s, t) -> int:
     The s-neighbourhood of :func:`vertices_on_short_cycles`, grown as a
     vertex mask.
     """
+    if s < 0:
+        raise ValueError("s must be >= 0")
     if t < 3:
         raise ValueError("t must be >= 3")
     if t > DEFAULT_CYCLE_LENGTH_CAP:
@@ -371,42 +428,54 @@ def codegree_max(g: Graph, r):
     layer_codegree: max over v, 1 <= i <= r and w != v of the number of
     G-edges from w into the exact-distance layer N_i(v) (w itself excluded
     from the target set).  power_codegree: same with the punctured ball
-    N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).  Runs on the
-    block driver of :mod:`graphpower.graph`: each layer is expanded once,
-    and a sort of the keys (root, w) counts the edges from each w into it;
-    one more sort of all of a root's keys counts them into the punctured
-    ball.
-    """
-    n = g.n
+    N(v) = ball(v, r) \\ {v} as target and w ranging over N(v).
 
-    def runs(keys):
-        """The distinct sorted keys and how often each occurs."""
-        keys.sort()
-        first = np.flatnonzero(first_copies(keys))
-        return keys[first], np.diff(first, append=keys.size)
+    Runs on the block driver of :mod:`graphpower.graph`, each layer
+    expanded once.  A hop takes the keys (root, w) its layer reaches and
+    sorts them with the keys of the last two layers (at the last hop, of
+    its own layer alone), tagged 0 in the low bit and the reached keys 1,
+    as the power kernel does: each key's copies tagged 1 count its edges
+    into the layer, and a first copy tagged 1 is a key of the next layer,
+    with its edges into this one.  A w of N_i(v), i < r, has all its
+    neighbours in the ball, so its count into N(v) is its degree, less one
+    at i = 1 for the edge to v; a w of N_r(v) has its edges into
+    N_{r-1}(v) \\ {v} and into N_r(v).
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    n = g.n
+    deg = g.degrees()
 
     def grow(layer0, expand):
         own = layer0 % n
         layer_best = power_best = 0
         prev, (front, _) = layer0, expand(layer0)
-        layers, into = [], []
-        for _ in range(r):
+        back = 0  # each key's edges into the layer before, bar the root
+        for i in range(1, r + 1):
             if not front.size:
                 break
             reached = expand(front)[0]
-            keys, count = runs(reached)
-            into.append(reached)
-            row = keys // n
+            # the last hop needs no next layer, so no layer before it
+            members = [front] if i == r else [prev, front]
+            tagged = np.concatenate(members + [reached])
+            tagged <<= 1
+            tagged[tagged.size - reached.size:] |= 1
+            tagged.sort()
+            head = np.flatnonzero(first_copies(tagged >> 1))
+            heads = tagged[head]
+            outside = (heads & 1).astype(bool)
+            # the copies of each key, less a layer's own
+            count = np.diff(head, append=tagged.size) - ~outside
+            key = heads >> 1
+            row = key // n
             # w = v is left out
-            layer_best = max(layer_best, count[keys - row * n != own[row]]
+            layer_best = max(layer_best, count[key - row * n != own[row]]
                              .max(initial=0))
-            layers.append(front)
-            new = ~_in_sorted(keys, front) & ~_in_sorted(keys, prev)
-            prev, front = front, keys[new]
-        if into:
-            keys, count = runs(np.concatenate(into))
-            ball = np.sort(np.concatenate(layers))
-            power_best = count[_in_sorted(keys, ball)].max(initial=0)
+            if i == r:
+                power_best = max(power_best, (back + count[~outside]).max())
+                break
+            power_best = max(power_best, deg[front % n].max() - (i == 1))
+            prev, front, back = front, key[outside], count[outside]
         return int(layer_best), int(power_best)
 
     layer = power = 0

@@ -4,8 +4,9 @@ in ``walk_oracle``) and, for the short cycles, against networkx's
 length-bounded cycle enumeration.
 
 Every comparison also runs with a key budget of 3 or 1, so blocks of one
-root and the halve-and-redo path run, and on forced int64 keys (a bound on
-the keys below n leaves no room for one row)."""
+root and the halve-and-redo path run, and on forced int64 keys (a bound of
+0 on the keys leaves no room for one row of any graph, the subgraph that
+the short-cycle search keeps after its leaf peel included)."""
 
 import networkx as nx
 import numpy as np
@@ -37,11 +38,49 @@ def sample(draw, max_n, d_range):
     return gnp_sample(n, min(1.0, d / n), RandomSource(draw(st.integers(0, 2 ** 32))))
 
 
+def cycle_edges(length, start):
+    return [(start + i, start + (i + 1) % length) for i in range(length)]
+
+
+@st.composite
+def peeled_graphs(draw):
+    """The shapes the short-cycle search's leaf peel (at most t // 2
+    rounds) meets: a forest, which it removes whole at every t; a short
+    cycle with pendant paths of up to 10 vertices, longer than t // 2 for
+    most t, so the peel stops before it reaches the cycle; or disjoint
+    cycles, which it leaves whole."""
+    kind = draw(st.sampled_from(["forest", "pendant", "cycles"]))
+    if kind == "forest":
+        n = draw(st.integers(1, 30))
+        # each vertex hangs from an earlier one, or starts a new tree
+        parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+        return Graph.from_edges(n, [(v, p) for v, p in enumerate(parents, 1)
+                                    if p >= 0])
+    if kind == "pendant":
+        length = draw(st.integers(3, 8))
+        edges, n = cycle_edges(length, 0), length
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, length - 1))
+            for _ in range(draw(st.integers(1, 10))):
+                edges.append((at, n))
+                at, n = n, n + 1
+        return Graph.from_edges(n, edges)
+    edges, n = [], 0
+    for length in draw(st.lists(st.integers(3, 10), min_size=1, max_size=4)):
+        edges += cycle_edges(length, n)
+        n += length
+    return Graph.from_edges(n, edges)
+
+
 @st.composite
 def graphs(draw):
     """Sparse, dense (small: the path DFS is exponential there), with two
-    components and isolated vertices, or edgeless, n = 0 included."""
-    kind = draw(st.sampled_from(["sparse", "dense", "disconnected", "empty"]))
+    components and isolated vertices, edgeless (n = 0 included), or one of
+    :func:`peeled_graphs`."""
+    kind = draw(st.sampled_from(["sparse", "dense", "disconnected", "empty",
+                                 "peeled"]))
+    if kind == "peeled":
+        return draw(peeled_graphs())
     if kind == "sparse":
         return sample(draw, 30, (0.5, 2.5))
     if kind == "dense":
@@ -54,15 +93,15 @@ def graphs(draw):
 
 
 # (POWER_KEY_BUDGET, force int64 keys); None keeps the default
-LAYOUTS = st.sampled_from([(None, False), (3, False), (1, False), (None, True),
-                           (3, True)])
+LAYOUT_LIST = [(None, False), (3, False), (1, False), (None, True), (3, True)]
+LAYOUTS = st.sampled_from(LAYOUT_LIST)
 
 
-def layout(mp, g, budget, int64):
+def layout(mp, budget, int64):
     if budget is not None:
         mp.setattr(graph, "POWER_KEY_BUDGET", budget)
     if int64:
-        mp.setattr(graph, "POWER_INT32_KEYS", max(g.n - 1, 0))
+        mp.setattr(graph, "POWER_INT32_KEYS", 0)
 
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -84,7 +123,7 @@ def test_root_blocks_cover_every_root_once_in_order(g, lay, cap):
         blocks.append((int(roots[0]), roots, reached, run))
 
     with pytest.MonkeyPatch.context() as mp:
-        layout(mp, g, *lay)
+        layout(mp, *lay)
         if not lay[1]:
             mp.setattr(graph, "POWER_INT32_KEYS", cap * g.n)
         list(graph._root_blocks(g, grow))
@@ -133,7 +172,7 @@ def test_table_from_roots_is_the_full_tables_columns(case, r, dense, lay):
     radius past the table's last row reads that row."""
     g, roots = case
     with pytest.MonkeyPatch.context() as mp:
-        layout(mp, g, *lay)
+        layout(mp, *lay)
         mp.setattr(graph, "_dense", lambda g: dense)
         full = power_table(g, r, None)[0]
         blocks = list(kernel(dense)(g, r, np.array(roots, dtype=np.int64)))
@@ -159,7 +198,7 @@ def test_table_refuses_roots_outside_the_graph(root, dense):
 @given(graphs(), st.integers(3, 16), st.integers(0, 3), LAYOUTS)
 def test_short_cycles_equal_the_path_dfs(g, t, s, lay):
     with pytest.MonkeyPatch.context() as mp:
-        layout(mp, g, *lay)
+        layout(mp, *lay)
         core = vertices_on_short_cycles(g, t)
         z = short_cycle_proximity(g, s, t)
     assert core == dfs_vertices_on_short_cycles(g, t)
@@ -171,7 +210,7 @@ def test_short_cycles_equal_the_path_dfs(g, t, s, lay):
 @given(graphs(), st.integers(1, 4), LAYOUTS)
 def test_codegree_equals_the_counters(g, r, lay):
     with pytest.MonkeyPatch.context() as mp:
-        layout(mp, g, *lay)
+        layout(mp, *lay)
         got = codegree_max(g, r)
     assert got == counter_codegree_max(g, r)
     assert all(type(x) is int for x in got)
@@ -187,7 +226,7 @@ def test_verifier_equals_the_bfs_walk(data, g, r, lay):
     coloring = Coloring(colors, r)
     greedy = greedy_power_coloring(g, r)
     with pytest.MonkeyPatch.context() as mp:
-        layout(mp, g, *lay)
+        layout(mp, *lay)
         gp = graph_power(g, r)
         got = verify_proper_power_coloring(gp, coloring)
         assert verify_proper_power_coloring(gp, greedy) == (True, None)
@@ -215,6 +254,20 @@ def test_short_cycles_equal_networkx_at_the_cap():
     assert got and got == networkx_short_cycles(g, 16)
 
 
+@pytest.mark.parametrize("lay", LAYOUT_LIST)
+@settings(max_examples=60, deadline=None)
+@given(peeled_graphs(), st.integers(3, 16))
+def test_peeled_shapes_equal_both_oracles(lay, g, t):
+    """Every layout, forced int64 keys included, on the shapes where the
+    leaf peel removes everything, stops short of the cycle, or removes
+    nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        layout(mp, *lay)
+        got = vertices_on_short_cycles(g, t)
+    assert got == dfs_vertices_on_short_cycles(g, t)
+    assert got == networkx_short_cycles(g, t)
+
+
 @pytest.mark.parametrize("length", range(3, 18))
 def test_a_cycle_is_found_from_its_own_length_on(length):
     """C_L with a pendant path: every cycle vertex at t = L, none at
@@ -226,6 +279,17 @@ def test_a_cycle_is_found_from_its_own_length_on(length):
     assert vertices_on_short_cycles(g, length - 1) == set()
     if length <= 16:
         assert short_cycle_proximity(g, 1, length) == length + 1
+
+
+def test_a_new_vertex_reached_twice_from_its_lesser_branch():
+    """Root 0 lies on two 6-cycles, each through 6, which depth 2 reaches
+    from 3 and 4 (branch 1) and from 5 (branch 2): two copies of the
+    least label, so only the last copy tells the branches apart.  At
+    t = 5 only the 4-cycle 1-3-6-4 is left."""
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 6), (4, 6),
+                             (2, 5), (5, 6)])
+    assert vertices_on_short_cycles(g, 6) == set(range(7))
+    assert vertices_on_short_cycles(g, 5) == {1, 3, 4, 6}
 
 
 def test_short_cycles_below_length_three_are_empty():

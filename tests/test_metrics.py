@@ -309,6 +309,13 @@ class TestShortCycleProximity:
         assert short_cycle_proximity(cycle_graph(9), 2, 8) == 0
         assert short_cycle_proximity(cycle_graph(9), 0, 9) == 9
 
+    @pytest.mark.parametrize("s", [-1, -3])
+    def test_negative_distance_refused(self, s):
+        """s < 0 used to count the s = 0 vertices; the CLI refuses it
+        before the call, like t < 3."""
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            short_cycle_proximity(cycle_graph(3), s, 3)
+
 
 class TestCodegree:
     def test_k4(self):
@@ -319,6 +326,12 @@ class TestCodegree:
 
     def test_p5(self):
         assert codegree_max(path_graph(5), 1) == (1, 0)
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_radius_below_one_refused(self, r):
+        """r < 1 used to give (0, 0); the CLI refuses it before the call."""
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            codegree_max(complete_graph(4), r)
 
     def test_never_exceeds_delta(self):
         for seed in range(5):

@@ -10,7 +10,9 @@ costs about as much set-up time and memory as a trial.  The numpy floor
 declared in ``pyproject.toml`` has every numpy function the package
 calls.  Adjacency lists
 are built only from a pinned list of functions, so a new per-vertex Python
-walk fails here rather than in a profile.  The dense predicate and the
+walk fails here rather than in a profile.  The ball expansions of
+``metrics`` tell layers apart by sorting, never by ``searchsorted``.  The
+dense predicate and the
 packed bit rows are read by a pinned list of functions too, so a third
 dense fork fails here, and one helper alone reads them as Python ints.
 The constants that size a
@@ -210,6 +212,21 @@ def test_int_from_bytes_callers_are_pinned():
                    for owner in calls_by_function(
                        ast.parse(path.read_text(), str(path)), "from_bytes"))
     assert found == ["graph.py:_bit_ints"]
+
+
+# the ball expansions of metrics.py tell a key's layer by one tagged sort,
+# as the power kernel does: a binary search per unsorted key costs many
+# times a key's share of that sort, so a call of searchsorted fails here,
+# and so does a return of the old membership helper
+def test_metrics_membership_is_by_sort():
+    path = PACKAGE / "metrics.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = calls_by_function(tree, "searchsorted")
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "_in_sorted"]
+    assert not calls, f"searchsorted called in metrics.py by {calls}"
+    assert not defined, "metrics.py defines _in_sorted"
 
 
 # the constants that size a block of ball expansions, read by the one
