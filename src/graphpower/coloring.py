@@ -1,9 +1,9 @@
 """Proper colorings of graph powers.
 
-Greedy on the rows of an explicit power (one function serves both G^r and
-any explicit graph: a loop over the CSR rows, or on a dense graph a scan
-that fills one color class at a time on its bit rows read as Python ints),
-exact chromatic number via DSATUR
+Greedy on the rows of an explicit power (one first-fit pass over one vertex
+order serves G^r, any explicit graph and the two-phase coloring: a loop over
+the CSR rows, or on a dense graph a scan that fills one color class at a
+time on its bit rows read as Python ints), exact chromatic number via DSATUR
 branch-and-bound on an explicit graph, the constructive two-phase coloring
 that achieves Delta(G^{r-1}) + 1 colors when the high-degree subgraph is a
 forest, and the verifier, both on the power one kernel pass builds.
@@ -68,79 +68,66 @@ def _ranked_bits(rows, order):
                        bitorder="little").reshape(len(rows), -1)
 
 
-def _greedy_fill(gp: Graph, order, colors):
-    """Give each vertex of ``order`` in turn the smallest color absent from
-    its row of the explicit graph ``gp``; ``colors`` is an int64 array in
-    which uncolored vertices hold -1, and ``order`` lists uncolored
-    vertices.
+def _greedy_fill(gp: Graph, order):
+    """First-fit colors of the explicit graph ``gp`` in ``order``, a
+    permutation of its vertices, as an int64 array: each vertex in turn
+    takes the smallest color absent from its row among the vertices
+    colored before it.
 
     On a dense graph (:func:`graph._dense`) the colors are filled one class
-    at a time.  Class c is the precolored vertices of color c and the
-    lexicographically first maximal independent set, in ``order``, of the
-    vertices that no earlier class took and that no precolored vertex of
-    color c neighbours.  That is the class first-fit gives c.  By induction
-    on c: let classes 0..c-1 agree, and let v be a vertex of ``order``
-    outside them.  First-fit gives v the color c exactly when no neighbour
-    colored before v has c.  Those neighbours are the precolored vertices
-    of color c and the members of class c that come before v in
-    ``order``, which are the members the scan has added when it reaches
-    v; so the scan adds v exactly when first-fit colors it c.  Precolored
-    vertices enter only through the rows of their own color's class, so
-    this holds whatever their colors, with gaps or above every color the
-    scan reaches.
+    at a time.  Class c is the lexicographically first maximal independent
+    set, in ``order``, of the vertices that no earlier class took.  That is
+    the class first-fit gives c.  By induction on c: let classes 0..c-1
+    agree, and let v be a vertex outside them.  First-fit gives v the color
+    c exactly when no neighbour colored before v has c.  Those neighbours
+    are the members of class c that come before v in ``order``, which are
+    the members the scan has added when it reaches v; so the scan adds v
+    exactly when first-fit colors it c.
 
     The closed rows of A + I (:meth:`Graph.bit_rows`) are read as Python
     ints (:func:`graph._bit_ints`).  A class takes the lowest bit of its
     candidates, drops it from the vertices left and clears that vertex's
     row from the candidates: one step per vertex and one per class, with
-    no numpy call per vertex.  An increasing ``order`` scans the vertices'
-    own bits; any other first relabels the bits by rank
-    (:func:`_ranked_bits`) on only the rows the scan reads.
+    no numpy call per vertex.  An increasing ``order`` is the identity and
+    scans the rows as they are; any other relabels every row's bits by rank
+    once (:func:`_ranked_bits`).
 
     Otherwise, a CSR row shorter than ``SHORT_ROW`` takes :func:`_mex` of
     its colors as a set, and a longer one the first zero of the counts of
     its colors shifted by one, so that uncolored neighbours land in the
     dropped slot 0.  All three give the same color.
     """
+    order = np.asarray(order, dtype=np.int64)
     if _dense(gp):
-        order = np.asarray(order, dtype=np.int64)
-        done = np.flatnonzero(colors >= 0)
-        rows = gp.bit_rows()[np.concatenate([order, done])]
+        rows = gp.bit_rows()
         if np.all(order[1:] > order[:-1]):  # bit v is vertex v
             ints = _bit_ints(rows)
-            own, bits, vertex = (dict(zip(order.tolist(), ints)), order,
-                                 np.arange(gp.n))
         else:  # bit i is vertex order[i]
-            ints = _bit_ints(_ranked_bits(rows, order))
-            own, bits, vertex = ints, np.arange(order.size), order
-        blocked = {}
-        for c, row in zip(colors[done].tolist(), ints[order.size:]):
-            blocked[c] = blocked.get(c, 0) | row
-        left = np.zeros(gp.n, dtype=bool)
-        left[bits] = True
-        left = _bit_ints(np.packbits(left, bitorder="little")[None])[0]
-        taken, ends = [], []
+            ints = _bit_ints(_ranked_bits(rows[order], order))
+        left, taken, ends = (1 << gp.n) - 1, [], []
         while left:
-            cand = left & ~blocked.get(len(ends), 0)
+            cand = left
             while cand:
                 low = cand & -cand
-                v = low.bit_length() - 1
-                taken.append(v)
+                i = low.bit_length() - 1
+                taken.append(i)
                 left ^= low
-                cand &= ~own[v]
+                cand &= ~ints[i]
             ends.append(len(taken))
-        taken = np.array(taken, dtype=np.int64)
-        colors[vertex[taken]] = np.repeat(np.arange(len(ends)),
-                                          np.diff([0] + ends))
-        return
+        colors = np.empty(gp.n, dtype=np.int64)
+        colors[order[np.array(taken, dtype=np.int64)]] = np.repeat(
+            np.arange(len(ends)), np.diff([0] + ends))
+        return colors
+    colors = np.full(gp.n, -1, dtype=np.int64)
     indptr, indices = gp.indptr.tolist(), gp.indices
-    for v in order:
+    for v in order.tolist():
         lo, hi = indptr[v], indptr[v + 1]
         row = colors[indices[lo:hi]]
         if hi - lo < SHORT_ROW:
             colors[v] = _mex(set(row.tolist()))
         else:
             colors[v] = np.bincount(row + 1, minlength=row.size + 2)[1:].argmin()
+    return colors
 
 
 def greedy_power_coloring(g: Graph, r, order=None) -> Coloring:
@@ -157,14 +144,13 @@ def greedy_coloring_explicit(gp: Graph, order=None) -> Coloring:
     neighbours.  Runs on the CSR arrays, or on the packed bit rows of a
     dense graph, and builds no adjacency lists.
     """
-    n = gp.n
     if order is None:
-        order = range(n)
-    elif sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all vertices")
-    colors = np.full(n, -1, dtype=np.int64)
-    _greedy_fill(gp, order, colors)
-    return Coloring(colors.tolist())
+        order = np.arange(gp.n)
+    else:  # read once: an iterator would be spent by the check
+        order = list(order)
+        if sorted(order) != list(range(gp.n)):
+            raise ValueError("order must be a permutation of all vertices")
+    return Coloring(_greedy_fill(gp, order).tolist())
 
 
 def dsatur_greedy(gp: Graph) -> Coloring:
@@ -274,8 +260,9 @@ def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
     Phase 1 colors the high-degree set S over the forest induced by
     S and its radius-r neighborhood, in the BFS visit order the forest
     check (:func:`graph.is_forest`) returns: trees rooted at their smallest
-    vertex.  Phase 2 colors the remaining vertices in
-    increasing index order.  Both run the greedy on the rows of ``gp``.
+    vertex.  Phase 2 colors the remaining vertices in increasing index
+    order.  Both phases are first fit, so together they are one greedy pass
+    on the rows of ``gp`` over phase 1's order followed by phase 2's.
     Raises ForestViolationError (with a witness cycle in original indices)
     when the forest condition fails; callers may fall back to greedy.
     """
@@ -296,12 +283,12 @@ def two_phase_power_coloring(g: Graph, r, degrees, gp: Graph) -> Coloring:
         in_s = set(s_set)
         phase1 = [closure[x] for x in walk if closure[x] in in_s]
 
-    colors = np.full(n, -1, dtype=np.int64)
-    _greedy_fill(gp, phase1, colors)
     # phase 2: all remaining vertices, increasing index order
-    _greedy_fill(gp, np.flatnonzero(colors < 0).tolist(), colors)
-
-    c = Coloring(colors.tolist(), r)
+    rest = np.ones(n, dtype=bool)
+    rest[phase1] = False
+    order = np.concatenate([np.array(phase1, dtype=np.int64),
+                            np.flatnonzero(rest)])
+    c = Coloring(_greedy_fill(gp, order).tolist(), r)
     if c.palette_size > delta_prev + 1:
         raise GraphPowerError(
             f"{c.palette_size} colors exceed the bound {delta_prev + 1} despite "
@@ -339,7 +326,8 @@ def write_coloring(coloring: Coloring, path):
 
 
 def read_coloring(path) -> Coloring:
-    """Inverse of :func:`write_coloring`; ValueError on a malformed file."""
+    """Inverse of :func:`write_coloring`; ValueError on a malformed file,
+    one that colors a vertex twice included."""
     palette = radius = None
     assignments = {}
     with open(path) as fh:
@@ -351,8 +339,11 @@ def read_coloring(path) -> Coloring:
                 raise ValueError(f"line {lineno}: too few fields in {line.strip()!r}")
             if parts[0] == "s":
                 palette, radius = int(parts[1]), int(parts[2])
-            elif parts[0] == "c":
-                assignments[int(parts[1])] = int(parts[2])
+            else:
+                v = int(parts[1])
+                if v in assignments:
+                    raise ValueError(f"line {lineno}: vertex {v} colored twice")
+                assignments[v] = int(parts[2])
     if palette is None:
         raise ValueError("missing solution header line")
     missing = next((v for v in range(len(assignments)) if v not in assignments),

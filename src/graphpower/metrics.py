@@ -141,15 +141,16 @@ def high_degree_set(degrees, r, threshold) -> list:
 
 def clique_lower_bound(degrees, r) -> int:
     """Largest radius-floor(r/2) ball size (a clique in G^r), read from the
-    degree table of G^r.
+    degree table of G^r; 0 when there are no vertices.
 
     For r = 1 the ball argument degenerates; any edge gives a 2-clique.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    n = degrees.shape[1]
     if r == 1:
-        return 2 if degrees[-1].any() else min(degrees.shape[1], 1)
-    return power_max_degree(degrees, r // 2).delta + 1
+        return 2 if degrees[-1].any() else min(n, 1)
+    return min(n, power_max_degree(degrees, r // 2).delta + 1)
 
 
 # -- exact clique / independence ------------------------------------------

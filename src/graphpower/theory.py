@@ -99,20 +99,21 @@ def degree_pmf(d, r, top) -> list:
     all terms nonnegative.  Raises BudgetExceededError when
     max(r, 1) (top+1)^2 exceeds DEFAULT_ENUM_WORK_CAP (the list alone
     costs top + 1 at r = 0), DomainError when d is not finite and
-    nonnegative, r < 0 or e^{-d} underflows.
+    nonnegative, r < 0 or e^{-d} underflows.  Those are checked first; a
+    negative top then gives [] at no further cost.
     """
     if not (math.isfinite(d) and d >= 0):
         raise DomainError(f"d must be finite and >= 0, got {d}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    if max(r, 1) * (top + 1) ** 2 > DEFAULT_ENUM_WORK_CAP:
-        raise BudgetExceededError(
-            f"pmf to D={top} at r={r} exceeds work cap {DEFAULT_ENUM_WORK_CAP}")
     b0 = math.exp(-d)
     if b0 < sys.float_info.min:
         raise DomainError(f"e^-d underflows at d={d}")
     if top < 0:
         return []
+    if max(r, 1) * (top + 1) ** 2 > DEFAULT_ENUM_WORK_CAP:
+        raise BudgetExceededError(
+            f"pmf to D={top} at r={r} exceeds work cap {DEFAULT_ENUM_WORK_CAP}")
     h = [1.0] + [0.0] * top
     for _ in range(r):
         ka = [k * d * h[k - 1] for k in range(1, top + 1)]  # k a_k, k >= 1
@@ -124,8 +125,10 @@ def degree_pmf(d, r, top) -> list:
 
 
 def degree_sum_pmf(d, r, big_d) -> float:
-    """Limit pmf P(D = big_d) of the G^r-degree (see ``degree_pmf``)."""
-    return degree_pmf(d, r, big_d)[big_d] if big_d >= 0 else 0.0
+    """Limit pmf P(D = big_d) of the G^r-degree (see ``degree_pmf``); 0.0
+    for big_d < 0, once d and r are found valid."""
+    pmf = degree_pmf(d, r, big_d)
+    return pmf[-1] if pmf else 0.0
 
 
 # -- layer-entropy minimization -------------------------------------------

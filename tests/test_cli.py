@@ -150,6 +150,12 @@ class TestPowerAndStats:
     def test_missing_file_io_error(self):
         assert main(["stats", "--in", "/nonexistent", "--r", "2"]) == 3
 
+    def test_stats_of_no_vertices(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 0\n")
+        code, rep = run(capsys, "stats", "--in", str(graph), "--r", "2")
+        assert code == 0 and rep["clique_lower_bound"] == 0
+
 
 class TestEval:
     def test_d_star(self, capsys):
@@ -234,11 +240,20 @@ class TestEval:
     @pytest.mark.parametrize("argv,message", [
         (["d=nan", "r=2", "D=3"], "d must be finite"),
         (["d=2", "r=-1", "D=0"], "r must be >= 0"),
+        # a negative D is checked after d and r, as any other D
+        (["d=nan", "r=2", "D=-1"], "d must be finite"),
+        (["d=-1", "r=2", "D=-5"], "d must be finite"),
+        (["d=2", "r=-3", "D=-1"], "r must be >= 0"),
     ])
     def test_degree_pmf_domain_exit_1(self, capsys, argv, message):
         assert main(["eval", "degree-pmf", *argv]) == 1
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    def test_degree_pmf_far_below_zero(self, capsys):
+        code, rep = run(capsys, "eval", "degree-pmf", "d=2", "r=2",
+                        "D=-1000000")
+        assert code == 0 and rep["value"] == 0.0
 
     @pytest.mark.parametrize("argv", [
         ["lemma2-exact", "D=-1", "r=2"],

@@ -210,6 +210,13 @@ class TestColoringIO:
         with pytest.raises(ValueError, match="negative color -1"):
             read_coloring(p)
 
+    def test_vertex_colored_twice_is_value_error(self, tmp_path):
+        # the last line once won: this read as colors [1, 0]
+        p = tmp_path / "c.txt"
+        p.write_text("s 2 1\nc 0 0\nc 1 1\nc 0 1\nc 1 0\n")
+        with pytest.raises(ValueError, match="line 4: vertex 0 colored twice"):
+            read_coloring(p)
+
     def test_palette_mismatch_is_value_error(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("s 5 1\nc 0 0\nc 1 1\n")

@@ -7,9 +7,9 @@ Both paths are run on the same graphs, with the predicate forced each way:
 the degree tables, the powers, the edge-cap refusals, the colorings and
 the independent sets must be identical, and so must every view of a power
 built on bit rows and of its CSR-built twin.  The greedy's edge cases (word
-edges, K_n, an edgeless graph, precolorings with gaps or high colors) are
-checked against networkx too, and only an order that is not increasing
-relabels the bits.  The bit-row kernel charges
+edges, K_n, an edgeless graph) are checked against networkx too, only an
+order that is not increasing relabels the bits, and a generator order is
+read once on either path.  The bit-row kernel charges
 the block driver's budget, a dense-chi trial neither unpacks its power nor
 packs it again, and the two dense inputs the sort kernel was slow on
 finish within a wall-clock bound.
@@ -206,60 +206,46 @@ def test_dense_cube_degrees_finish():
 @given(sparse_and_dense_graphs(), st.integers(1, 3), st.data())
 def test_both_paths_give_the_same_greedy_coloring(g, r, data):
     """The color-class scan gives each vertex the color the CSR loop gives
-    it, for a random order, and after a partial greedy precoloring filled
-    in index order as the two-phase coloring does; with the whole order it
-    equals networkx's greedy coloring in the same order."""
+    it, for a random order, and for a random prefix followed by the rest in
+    index order, as the two-phase coloring orders its vertices; both equal
+    networkx's greedy coloring in the same order."""
     gp = graph_power(g, r) if r > 1 else g
     order = data.draw(st.permutations(range(gp.n)))
     first = order[:data.draw(st.integers(0, gp.n))]
-    rest = sorted(set(range(gp.n)) - set(first))
-    for orders in ((order,), (first, rest)):
-        csr, bits = on_each_path(lambda: filled(gp, *orders), False)
-        assert csr == bits
+    two_phase = first + sorted(set(range(gp.n)) - set(first))
+    for each in (order, two_phase):
+        csr, bits = on_each_path(lambda: filled(gp, each), False)
+        assert csr == bits == networkx_first_fit(gp, each)
         assert min(bits, default=0) >= 0
-    assert filled(gp, order) == networkx_first_fit(gp, order)
 
 
-def filled(gp, *orders, colors=None):
-    """``coloring._greedy_fill`` over each order in turn, from ``colors``
-    (a dict of precolored vertices), as a list."""
-    colors = colors or {}
-    out = np.full(gp.n, -1, dtype=np.int64)
-    out[list(colors)] = list(colors.values())
-    for part in orders:
-        coloring._greedy_fill(gp, part, out)
-    return out.tolist()
+def filled(gp, order):
+    """``coloring._greedy_fill`` over the permutation ``order``, as a
+    list."""
+    return coloring._greedy_fill(gp, order).tolist()
 
 
-def networkx_first_fit(gp, order, colors=None):
-    """First fit in ``order`` on the networkx rebuild of ``gp``: networkx's
-    ``greedy_color`` when nothing is precolored, else the smallest color
-    absent from each vertex's neighbours there, from ``colors``."""
+def networkx_first_fit(gp, order):
+    """networkx's greedy coloring in ``order`` of the networkx rebuild of
+    ``gp``."""
     h = nx.Graph()
     h.add_nodes_from(range(gp.n))
     h.add_edges_from(gp.edge_array().tolist())
-    if not colors:
-        want = nx.greedy_color(h, strategy=lambda h, colors: iter(order))
-        return [want[v] for v in range(gp.n)]
-    out = [colors.get(v, -1) for v in range(gp.n)]
-    for v in order:
-        used = {out[w] for w in h[v]}
-        out[v] = min(set(range(len(used) + 1)) - used)
-    return out
+    want = nx.greedy_color(h, strategy=lambda h, colors: iter(order))
+    return [want[v] for v in range(gp.n)]
 
 
-def fill_every_way(g, colors=None):
-    """The colors the uncolored vertices take in increasing, decreasing and
-    shuffled order, once the dense scan, the CSR loop and networkx's first
-    fit are seen to agree on each order."""
-    colors = colors or {}
-    rest = [v for v in range(g.n) if v not in colors]
-    shuffled = np.random.default_rng(g.n).permutation(rest).tolist()
+def fill_every_way(g):
+    """The colors the vertices take in increasing, decreasing and shuffled
+    order, once the dense scan, the CSR loop and networkx's first fit are
+    seen to agree on each order."""
+    ordered = list(range(g.n))
+    shuffled = np.random.default_rng(g.n).permutation(g.n).tolist()
     out = []
-    for order in (rest, rest[::-1], shuffled):
-        csr, bits = on_each_path(lambda: filled(g, order, colors=colors), False)
-        assert csr == bits == networkx_first_fit(g, order, colors)
-        out += [bits[v] for v in rest]
+    for order in (ordered, ordered[::-1], shuffled):
+        csr, bits = on_each_path(lambda: filled(g, order), False)
+        assert csr == bits == networkx_first_fit(g, order)
+        out += bits
     return out
 
 
@@ -274,15 +260,6 @@ def test_dense_greedy_edge_cases(g, palette):
     graph, dense only when forced, one."""
     got = fill_every_way(g)
     assert palette is None or max(got) + 1 == palette
-
-
-@pytest.mark.parametrize("colors", [{0: 0, 9: 3, 40: 3, 64: 0},
-                                    {5: 70, 64: 1000}], ids=["gap", "above"])
-def test_dense_greedy_from_a_precoloring(colors):
-    """Precolored colors with a gap, and above every color the scan
-    reaches: the gap is filled, and no scan reaches the high colors."""
-    got = fill_every_way(gnp_sample(65, 0.3, RandomSource(3)), colors)
-    assert {1, 2} <= set(got) and max(got) < 70
 
 
 @pytest.mark.parametrize("n, size", [(8, 8), (63, 5), (64, 64), (65, 17),
@@ -301,8 +278,9 @@ def test_ranked_bits_number_the_order(n, size):
 
 def test_an_increasing_order_is_not_relabelled():
     """The dense greedy relabels the bits by rank only for an order that
-    is not increasing: the whole range, a subset and the two-phase
-    coloring's phase 2 scan the vertices' own bits."""
+    is not increasing: the identity scans the vertices' own bits, and any
+    other permutation, such as the two-phase coloring's, relabels all n
+    rows once."""
     gp = graph_power(gnp_sample(200, 0.05, RandomSource(1)), 2)
     calls, real = [], coloring._ranked_bits
 
@@ -314,11 +292,23 @@ def test_an_increasing_order_is_not_relabelled():
         forced(mp, True)
         mp.setattr(coloring, "_ranked_bits", counted)
         filled(gp, range(gp.n))
-        filled(gp, [3, 9, 150])
-        filled(gp, list(range(100, 200)), colors={5: 1, 7: 0})
+        filled(gp, np.arange(gp.n))
         assert not calls
-        filled(gp, [9, 3], list(range(10, 200)))
-        assert len(calls) == 1 and len(calls[0][0]) == 2
+        filled(gp, [9, 3] + [v for v in range(gp.n) if v not in (3, 9)])
+        assert len(calls) == 1 and len(calls[0][0]) == gp.n
+
+
+def test_a_generator_order_is_read_once():
+    """``greedy_coloring_explicit`` reads a generator order once, so it
+    colors as the same order given as a list, on either path (the
+    permutation check once spent the generator before the fill)."""
+    gp = gnp_sample(200, 0.01, RandomSource(1))
+    shuffled = np.random.default_rng(1).permutation(gp.n).tolist()
+    for order in (list(range(gp.n)), shuffled):
+        want = coloring.greedy_coloring_explicit(gp, order).colors
+        got = on_each_path(lambda: coloring.greedy_coloring_explicit(
+            gp, (v for v in order)).colors, False)
+        assert got == [want, want]
 
 
 def counting(mp, name):

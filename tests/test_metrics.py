@@ -201,6 +201,12 @@ class TestCliqueBounds:
         assert clique_lower_bound(table(path_graph(3), 1), 1) == 2
         assert clique_lower_bound(table(Graph.from_edges(3, []), 1), 1) == 1
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_no_vertices(self, r):
+        # omega is 0 without vertices; the ball bound once read 1 at r >= 2
+        g = Graph.from_edges(0, [])
+        assert clique_lower_bound(table(g, r), r) == max_clique_exact(g) == 0
+
 
 class TestExactClique:
     def test_c5(self):

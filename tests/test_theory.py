@@ -154,6 +154,19 @@ class TestPmf:
     def test_negative_degree(self):
         assert degree_sum_pmf(2.0, 2, -1) == 0.0
 
+    def test_far_negative_degree_costs_no_work(self):
+        # the work cap once squared the negative horizon and refused it
+        assert degree_sum_pmf(2.0, 2, -10 ** 6) == 0.0
+        assert degree_pmf(2.0, 2, -10 ** 6) == []
+
+    @pytest.mark.parametrize("d,r,big_d", [(math.nan, 2, -1), (-1.0, 2, -5),
+                                           (2.0, -3, -1), (800.0, 1, -1)])
+    def test_negative_degree_checks_d_and_r_first(self, d, r, big_d):
+        # the same d and r are refused at D = 0
+        for at in (big_d, 0):
+            with pytest.raises(DomainError):
+                degree_sum_pmf(d, r, at)
+
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_non_finite_degree_refused(self, d):
         with pytest.raises(DomainError, match="finite"):
